@@ -25,28 +25,50 @@ share ``C(bs_i) / |R_t|``.
 Build strategy
 --------------
 
-The model is assembled from precomputed arrays, not per-coefficient
-Python loops: each request's distribution is lowered once into a
-:class:`_DistTables` (a reward-prefix table evaluated with the same
-slice-and-dot expression as
-:meth:`~repro.requests.distributions.RateRewardDistribution.expected_reward_within`,
-plus a memo of truncated expected rates per cap), and each station's
-slot geometry into per-slot max-rate arrays.  Every coefficient the
-model receives is bit-identical to the one the naive per-triple loops
-would produce - only the bookkeeping around them is vectorized.
+The model is assembled as arrays, one constraint family at a time, and
+handed to :meth:`~repro.solver.model.LinearProgram.add_rows_csr` as
+CSR blocks - no per-coefficient dicts, row objects or name strings.
+The structure is fully regular:
 
-:class:`LpPtWorkspace` carries those tables *across* DynamicRR rounds
-and additionally keeps the previous round's model: an unchanged round
-returns the same model object (so a warm-started solve is a pure cache
-hit), a round that only changed the fair-share count ``|R_t|`` mutates
-the capped rows in place, and any other round rebuilds from the cached
-tables.
+* each feasible (request, station) pair is a contiguous block of
+  ``L`` columns (one per starting slot), a request's blocks are
+  adjacent, and requests follow the workload order;
+* the choice rows (9) are therefore consecutive index ranges that
+  together cover every column once;
+* the prefix rows (10)/(23) and the capacity row of a station take the
+  first ``m`` (resp. all ``L``) columns of each of the station's blocks
+  whose truncated expected rate is positive, so every such row is a
+  set of per-block slices, generated for all stations at once with
+  ``np.repeat``/``cumsum`` in (station, m) order.
+
+Each request's distribution is lowered once into a :class:`_DistTables`
+(a reward-prefix table evaluated with the same slice-and-dot expression
+as
+:meth:`~repro.requests.distributions.RateRewardDistribution.expected_reward_within`,
+plus memos of truncated expected rates per cap), and the slot geometry
+of every station into one :class:`_Geometry`.  Coefficients, rows,
+columns and their order are pinned by content fingerprints in
+``tests/core/test_lp_golden.py``; column and row names
+(``y_<request>_<station>_<slot>``, ``choice_<request>``,
+``prefix_<station>_<m>``, ``capacity_<station>``) are part of that
+content but generated only when something asks for them.
+:class:`LpIndex` maps columns back to (request, station, slot) through
+per-column arrays and per-request column ranges, so reading a solution
+never touches a name either.
+
+:class:`LpPtWorkspace` carries the tables and the geometry *across*
+DynamicRR rounds and additionally keeps the previous round's model: an
+unchanged round returns the same model object (so a warm-started solve
+is a pure cache hit), a round that only changed the fair-share count
+``|R_t|`` rewrites the capped rows in place, and any other round
+rebuilds from the cached tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property, partial
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,17 +85,75 @@ def _var_name(request_id: int, station_id: int, slot: int) -> str:
     return f"y_{request_id}_{station_id}_{slot}"
 
 
-@dataclass(frozen=True)
+def _column_names(request_ids: np.ndarray, station_ids: np.ndarray,
+                  slots: np.ndarray) -> List[str]:
+    return [_var_name(rid, sid, slot) for rid, sid, slot
+            in zip(request_ids.tolist(), station_ids.tolist(),
+                   slots.tolist())]
+
+
+def _choice_names(request_ids: Sequence[int]) -> List[str]:
+    return [f"choice_{rid}" for rid in request_ids]
+
+
+@dataclass(frozen=True, eq=False)
 class LpIndex:
-    """Maps LP variables back to (request, station, slot) triples.
+    """Maps LP columns back to (request, station, slot) triples.
 
     Attributes:
-        triples: variable name -> (request_id, station_id, slot).
-        by_request: request_id -> list of its variable names.
+        request_ids: request of each column.
+        station_ids: station of each column.
+        slots: starting slot of each column.
+        ranges: request_id -> its ``[start, stop)`` column range, in
+            workload order (empty for a request with no feasible
+            station).
+        columns_id: :attr:`~repro.solver.model.LinearProgram.columns_id`
+            of the model the columns belong to.
     """
 
-    triples: Mapping[str, Tuple[int, int, int]]
-    by_request: Mapping[int, Tuple[str, ...]]
+    request_ids: np.ndarray
+    station_ids: np.ndarray
+    slots: np.ndarray
+    ranges: Mapping[int, Tuple[int, int]]
+    columns_id: object
+
+    @cached_property
+    def _names(self) -> List[str]:
+        return _column_names(self.request_ids, self.station_ids,
+                             self.slots)
+
+    @cached_property
+    def triples(self) -> Dict[str, Tuple[int, int, int]]:
+        """Variable name -> (request_id, station_id, slot)."""
+        return dict(zip(self._names, zip(self.request_ids.tolist(),
+                                         self.station_ids.tolist(),
+                                         self.slots.tolist())))
+
+    @cached_property
+    def by_request(self) -> Dict[int, Tuple[str, ...]]:
+        """request_id -> its variable names, in column order."""
+        names = self._names
+        return {rid: tuple(names[start:stop])
+                for rid, (start, stop) in self.ranges.items()}
+
+    def _column_vector(self, values: Mapping[str, float]) -> np.ndarray:
+        """`values` over this index's columns, in column order."""
+        n = self.request_ids.size
+        x = getattr(values, "x", None)
+        if (getattr(values, "columns_id", None) is self.columns_id
+                and x is not None and x.size >= n):
+            return x[:n]
+        get = values.get
+        return np.array([float(get(name, 0.0)) for name in self._names],
+                        dtype=float)
+
+    def _options(self, x: np.ndarray, start: int, stop: int, tol: float
+                 ) -> Tuple[List[int], List[Tuple[int, int, float]]]:
+        """Owners and (station, slot, mass) of columns above `tol`."""
+        cols = start + np.flatnonzero(x[start:stop] > tol)
+        return (self.request_ids[cols].tolist(),
+                list(zip(self.station_ids[cols].tolist(),
+                         self.slots[cols].tolist(), x[cols].tolist())))
 
     def assignment_options(self, values: Mapping[str, float],
                            request_id: int,
@@ -86,13 +166,9 @@ class LpIndex:
             request_id: the request.
             tol: drop options below this mass.
         """
-        options: List[Tuple[int, int, float]] = []
-        for name in self.by_request.get(request_id, ()):
-            mass = float(values.get(name, 0.0))
-            if mass > tol:
-                _, station_id, slot = self.triples[name]
-                options.append((station_id, slot, mass))
-        return options
+        start, stop = self.ranges.get(request_id, (0, 0))
+        return self._options(self._column_vector(values), start, stop,
+                             tol)[1]
 
     def options_table(self, values: Mapping[str, float],
                       tol: float = 1e-9
@@ -102,15 +178,15 @@ class LpIndex:
         Returns the same lists (same order) as calling
         :meth:`assignment_options` per request; rounding loops that
         re-query one solution across many rounds use this to avoid the
-        per-round re-extraction.
+        per-round re-extraction.  A solution returned by the HiGHS
+        backend is read as its column vector, without names.
         """
         table: Dict[int, List[Tuple[int, int, float]]] = {
-            rid: [] for rid in self.by_request}
-        get = values.get
-        for name, (rid, station_id, slot) in self.triples.items():
-            mass = float(get(name, 0.0))
-            if mass > tol:
-                table[rid].append((station_id, slot, mass))
+            rid: [] for rid in self.ranges}
+        owners, options = self._options(self._column_vector(values), 0,
+                                        self.request_ids.size, tol)
+        for rid, option in zip(owners, options):
+            table[rid].append(option)
         return table
 
 
@@ -138,12 +214,14 @@ class _DistTables:
     smallest support rates, evaluated with the same contiguous
     slice-and-dot expression as ``expected_reward_within`` so the
     floats are bit-identical to the per-triple evaluation.
-    ``truncated()`` memoizes ``expected_truncated_rate`` per cap - the
-    prefix rows query the same handful of caps for every station and,
-    through :class:`LpPtWorkspace`, for every DynamicRR round.
+    ``truncated()`` memoizes ``expected_truncated_rate`` per cap and
+    ``truncations()`` per tuple of caps - the capped rows query the
+    same handful of caps for every station and, through
+    :class:`LpPtWorkspace`, for every DynamicRR round.
     """
 
-    __slots__ = ("distribution", "rates", "reward_prefix", "_trunc")
+    __slots__ = ("distribution", "rates", "reward_prefix", "_trunc",
+                 "_trunc_rows")
 
     def __init__(self, distribution: RateRewardDistribution) -> None:
         self.distribution = distribution
@@ -155,6 +233,7 @@ class _DistTables:
             [float(probs[:k] @ rewards[:k]) for k in range(n + 1)])
 
         self._trunc: Dict[float, float] = {}
+        self._trunc_rows: Dict[Tuple[float, ...], np.ndarray] = {}
 
     def truncated(self, cap: float) -> float:
         """Memoized ``E[min(rho, cap)]`` (exact same float as uncached).
@@ -172,6 +251,17 @@ class _DistTables:
                 value = self.distribution.expected_truncated_rate(cap)
             self._trunc[cap] = value
         return value
+
+    def truncations(self, caps: Tuple[float, ...]) -> np.ndarray:
+        """:meth:`truncated` of each cap, as one memoized array."""
+        row = self._trunc_rows.get(caps)
+        if row is None:
+            memo = self._trunc
+            truncated = self.truncated
+            row = np.array([memo[cap] if cap in memo else truncated(cap)
+                            for cap in caps])
+            self._trunc_rows[caps] = row
+        return row
 
     def reward_within(self, max_rates: np.ndarray) -> np.ndarray:
         """Vectorized ``ER`` over a station's per-slot max rates."""
@@ -213,105 +303,153 @@ class _StationGeometry:
     max_rates: np.ndarray
 
 
-def _station_geometry(instance: ProblemInstance
-                      ) -> Dict[int, _StationGeometry]:
-    slot_size = instance.slot_size_mhz
-    c_unit = instance.c_unit
-    out: Dict[int, _StationGeometry] = {}
-    for sid in instance.network.station_ids:
-        num_slots = instance.network.num_slots(sid)
-        capacity = instance.network.station(sid).capacity_mhz
-        offsets = np.arange(num_slots) * slot_size
-        out[sid] = _StationGeometry(
-            num_slots=num_slots,
-            capacity_rate=capacity / c_unit,
-            capacity_mhz=capacity,
-            threshold_rates=tuple(m * slot_size / c_unit
-                                  for m in range(1, num_slots + 1)),
-            max_rates=(capacity - offsets) / c_unit)
-    return out
+class _Geometry:
+    """Every station's slot geometry plus the layout of the capped rows.
+
+    Each station owns ``L + 1`` consecutive *row keys*: its prefix rows
+    ``m = 1..L`` then its capacity row, stations in network order - the
+    order the rows enter the model.  Only keys whose row has an entry
+    become rows.  Station capacities and the slot size are fixed once
+    an instance is built, so one geometry serves every build on it.
+    """
+
+    def __init__(self, instance: ProblemInstance) -> None:
+        slot_size = instance.slot_size_mhz
+        c_unit = instance.c_unit
+        self.c_unit = c_unit
+        self.station_ids: Tuple[int, ...] = tuple(
+            instance.network.station_ids)
+        self.stations: Dict[int, _StationGeometry] = {}
+        rhs: List[float] = []
+        for sid in self.station_ids:
+            num_slots = instance.network.num_slots(sid)
+            capacity = instance.network.station(sid).capacity_mhz
+            offsets = np.arange(num_slots) * slot_size
+            geo = _StationGeometry(
+                num_slots=num_slots,
+                capacity_rate=capacity / c_unit,
+                capacity_mhz=capacity,
+                threshold_rates=tuple(m * slot_size / c_unit
+                                      for m in range(1, num_slots + 1)),
+                max_rates=(capacity - offsets) / c_unit)
+            self.stations[sid] = geo
+            rhs.extend(PREFIX_SLACK * threshold
+                       for threshold in geo.threshold_rates)
+            rhs.append(geo.capacity_rate)
+        self.position = {sid: k for k, sid in enumerate(self.station_ids)}
+        self.num_slots = np.array(
+            [self.stations[sid].num_slots for sid in self.station_ids],
+            dtype=np.int64)
+        sizes = self.num_slots + 1
+        self.row_offset = np.cumsum(sizes) - sizes
+        self.row_rhs = np.array(rhs)
+        #: Feasible-station set -> (concatenated per-slot max rates,
+        #: station positions, block offsets within the request).
+        self.request_layouts: Dict[
+            Tuple[int, ...], Tuple[np.ndarray, Tuple[int, ...],
+                                   Tuple[int, ...]]] = {}
+        self._row_names: Optional[List[str]] = None
+
+    def request_layout(self, stations: Tuple[int, ...]):
+        """Concatenated budgets and block layout of a station set.
+
+        Feasible-station sets repeat heavily across requests, so each
+        set's per-slot budget array is built once (one searchsorted per
+        request instead of one per (request, station)).
+        """
+        entry = self.request_layouts.get(stations)
+        if entry is None:
+            geos = [self.stations[sid] for sid in stations]
+            offsets = np.cumsum([0] + [geo.num_slots for geo in geos])
+            entry = (np.concatenate([geo.max_rates for geo in geos]),
+                     tuple(self.position[sid] for sid in stations),
+                     tuple(offsets[:-1].tolist()))
+            self.request_layouts[stations] = entry
+        return entry
+
+    def station_caps(self, fair_share_count: Optional[int]
+                     ) -> Dict[int, Tuple[float, ...]]:
+        """Per station: the ``L`` prefix caps then the capacity-row cap.
+
+        Without a fair-share count (the plain LP) the caps are the
+        thresholds ``m * C_l / C_unit`` and ``C(bs_i) / C_unit``; LP-PT
+        (Eq. 23) caps each by the share ``C(bs_i) / (|R_t| C_unit)``.
+        """
+        caps: Dict[int, Tuple[float, ...]] = {}
+        for sid, geo in self.stations.items():
+            if fair_share_count is None:
+                caps[sid] = geo.threshold_rates + (geo.capacity_rate,)
+                continue
+            share = geo.capacity_mhz / (max(fair_share_count, 1)
+                                        * self.c_unit)
+            caps[sid] = tuple(min(threshold, share)
+                              for threshold in geo.threshold_rates) + (
+                min(geo.capacity_rate, share),)
+        return caps
+
+    def row_names(self, keys: np.ndarray) -> List[str]:
+        """Names of the rows with the given keys."""
+        if self._row_names is None:
+            names: List[str] = []
+            for sid in self.station_ids:
+                names.extend(f"prefix_{sid}_{m}" for m in
+                             range(1, self.stations[sid].num_slots + 1))
+                names.append(f"capacity_{sid}")
+            self._row_names = names
+        table = self._row_names
+        return [table[key] for key in keys.tolist()]
 
 
 @dataclass
-class _StationBlocks:
-    """Column blocks landed at one station, in insertion order.
+class _Blocks:
+    """The model's (request, station) column blocks, in column order."""
 
-    Each feasible (request, station) pair contributes one contiguous
-    block of ``num_slots`` columns; the prefix row for threshold ``m``
-    takes the first ``m`` columns of every block.
-    """
-
-    geometry: _StationGeometry
-    first_cols: List[int]
+    #: Station position (in network order) of each block.
+    positions: np.ndarray
+    #: First column of each block.
+    firsts: np.ndarray
+    #: Distribution tables of each block's request.
     tables: List[_DistTables]
 
-    def prefix_row(self, m: int, cap: float) -> Dict[int, float]:
-        coeffs: Dict[int, float] = {}
-        update = coeffs.update
-        for first, tab in zip(self.first_cols, self.tables):
-            truncated = tab.truncated(cap)
-            if truncated <= 0:
-                continue
-            update(dict.fromkeys(range(first, first + m), truncated))
-        return coeffs
+    def capped_rows(self, geometry: _Geometry,
+                    caps: Mapping[int, Tuple[float, ...]]):
+        """Constraints (10)/(23) and the capacity rows, as CSR arrays.
 
-    def prefix_rows(self, prefix_caps: Sequence[float]
-                    ) -> Iterator[Tuple[int, Dict[int, float]]]:
-        """All non-empty prefix rows at once: yields ``(m, coeffs)``.
+        Block ``b`` at a station with ``L`` slots has ``L + 1``
+        candidate rows: prefix row ``m`` takes its first ``m`` columns,
+        the capacity row all ``L``, each with the request's truncated
+        expected rate at that row's cap - a candidate with a zero
+        truncation contributes nothing.  Candidates are stably sorted
+        by row key, which keeps blocks (hence columns) ascending within
+        every row.
 
-        Row-for-row identical to calling :meth:`prefix_row` per ``m``
-        (same keys in the same ascending order, same float values -
-        float64 arrays round-trip exactly); the batched assembly runs
-        the per-column work in numpy instead of per-entry Python.
+        Returns:
+            ``(keys, indptr, indices, data)`` of the non-empty rows.
         """
-        if not self.first_cols:
-            return
-        firsts = np.asarray(self.first_cols)
-        num_caps = len(prefix_caps)
-        trunc = np.empty((len(self.tables), num_caps))
-        for i, tab in enumerate(self.tables):
-            memo = tab.truncated
-            trunc[i] = [memo(cap) for cap in prefix_caps]
-        for m in range(1, num_caps + 1):
-            col = trunc[:, m - 1]
-            mask = col > 0
-            if not mask.any():
-                continue
-            cols = (firsts[mask][:, None] + np.arange(m)).ravel()
-            data = np.repeat(col[mask], m)
-            yield m, dict(zip(cols.tolist(), data.tolist()))
-
-    def capacity_row(self, cap: float) -> Dict[int, float]:
-        num_slots = self.geometry.num_slots
-        if not self.first_cols:
-            return {}
-        firsts = np.asarray(self.first_cols)
-        trunc = np.array([tab.truncated(cap) for tab in self.tables])
-        mask = trunc > 0
-        if not mask.any():
-            return {}
-        cols = (firsts[mask][:, None] + np.arange(num_slots)).ravel()
-        data = np.repeat(trunc[mask], num_slots)
-        return dict(zip(cols.tolist(), data.tolist()))
-
-
-def _effective_caps(geometry: _StationGeometry,
-                    share_rate: Optional[float]
-                    ) -> Tuple[List[float], float]:
-    """Per-m prefix caps and the capacity-row cap of one station."""
-    if share_rate is None:
-        return list(geometry.threshold_rates), geometry.capacity_rate
-    return ([min(threshold, share_rate)
-             for threshold in geometry.threshold_rates],
-            min(geometry.capacity_rate, share_rate))
-
-
-def _share_rate(geometry: _StationGeometry, instance: ProblemInstance,
-                fair_share_count: Optional[int]) -> Optional[float]:
-    if fair_share_count is None:
-        return None
-    return geometry.capacity_mhz / (max(fair_share_count, 1)
-                                    * instance.c_unit)
+        ids = geometry.station_ids
+        trunc = (np.concatenate([
+            tab.truncations(caps[ids[pos]])
+            for tab, pos in zip(self.tables, self.positions.tolist())])
+            if self.tables else np.zeros(0))
+        lengths = geometry.num_slots[self.positions]
+        fan = lengths + 1
+        block = np.repeat(np.arange(lengths.size), fan)
+        local = np.arange(trunc.size) - np.repeat(np.cumsum(fan) - fan, fan)
+        key = np.repeat(geometry.row_offset[self.positions], fan) + local
+        width = np.minimum(local + 1, np.repeat(lengths, fan))
+        # A station too small for one slot has zero-width blocks: they
+        # add no entries, so they must not create an (empty) row.
+        keep = np.flatnonzero((trunc > 0) & (width > 0))
+        order = keep[np.argsort(key[keep], kind="stable")]
+        key, block, width = key[order], block[order], width[order]
+        entry_start = np.cumsum(width) - width
+        total = int(width.sum())
+        indices = (np.repeat(self.firsts[block] - entry_start, width)
+                   + np.arange(total))
+        data = np.repeat(trunc[order], width)
+        row_first = np.flatnonzero(np.diff(key, prepend=-1))
+        indptr = np.append(entry_start[row_first], total)
+        return key[row_first], indptr, indices, data
 
 
 # ----------------------------------------------------------------------
@@ -322,73 +460,63 @@ def _build_model(lp: LinearProgram, instance: ProblemInstance,
                  waiting: Mapping[int, float],
                  fair_share_count: Optional[int],
                  tables: _TableCache,
+                 geometry: _Geometry,
                  feasible: Optional[Mapping[int, Sequence[int]]] = None
-                 ) -> Tuple[LpIndex, Dict[int, _StationBlocks]]:
-    """Assemble the slot-indexed LP into `lp`; returns index + blocks.
-
-    Byte-compatible with the historical per-triple build: same variable
-    and constraint names, same insertion order, same float values.
-    """
-    geometry = _station_geometry(instance)
-    triples: Dict[str, Tuple[int, int, int]] = {}
-    by_request: Dict[int, List[str]] = {}
-    blocks: Dict[int, _StationBlocks] = {
-        sid: _StationBlocks(geometry=geo, first_cols=[], tables=[])
-        for sid, geo in geometry.items()}
-
-    # Feasible-station sets repeat heavily across requests; cache each
-    # set's concatenated per-slot budget array (one searchsorted per
-    # request instead of one per (request, station)).
-    concat_cache: Dict[Tuple[int, ...],
-                       Tuple[np.ndarray, Tuple[Tuple[int, int], ...]]] = {}
-
+                 ) -> Tuple[LpIndex, _Blocks]:
+    """Assemble the slot-indexed LP into `lp`; returns index + blocks."""
+    caps = geometry.station_caps(fair_share_count)
+    objectives: List[np.ndarray] = []
+    positions: List[int] = []
+    firsts: List[int] = []
+    block_tables: List[_DistTables] = []
+    ranges: Dict[int, Tuple[int, int]] = {}
+    choice_rids: List[int] = []
+    choice_sizes: List[int] = []
+    next_col = 0
     for request in requests:
         rid = request.request_id
-        tab = tables.get(request)
         stations = tuple(feasible[rid] if feasible is not None
                          else instance.latency.feasible_stations(
                              request, waiting.get(rid, 0.0)))
         if not stations:
-            by_request[rid] = []
+            ranges[rid] = (next_col, next_col)
             continue
-        entry = concat_cache.get(stations)
-        if entry is None:
-            geos = [geometry[sid] for sid in stations]
-            spans: List[Tuple[int, int]] = []
-            offset = 0
-            for geo in geos:
-                spans.append((offset, geo.num_slots))
-                offset += geo.num_slots
-            entry = (np.concatenate([geo.max_rates for geo in geos]),
-                     tuple(spans))
-            concat_cache[stations] = entry
-        concat_max, spans = entry
-        ers_all = tab.reward_within(concat_max)
-        names: List[str] = []
-        for sid, (_offset, num_slots) in zip(stations, spans):
-            names.extend(_var_name(rid, sid, slot)
-                         for slot in range(num_slots))
-        first = lp.add_variables_bulk(names, (0.0,) * len(names),
-                                      (1.0,) * len(names), ers_all)
-        for sid, (offset, num_slots) in zip(stations, spans):
-            for slot in range(num_slots):
-                triples[names[offset + slot]] = (rid, sid, slot)
-            station = blocks[sid]
-            station.first_cols.append(first + offset)
-            station.tables.append(tab)
-        by_request[rid] = names
+        tab = tables.get(request)
+        concat_max, station_positions, offsets = \
+            geometry.request_layout(stations)
+        objectives.append(tab.reward_within(concat_max))
+        positions.extend(station_positions)
+        firsts.extend(next_col + offset for offset in offsets)
+        block_tables.extend([tab] * len(stations))
+        size = int(concat_max.size)
+        ranges[rid] = (next_col, next_col + size)
+        choice_rids.append(rid)
+        choice_sizes.append(size)
+        next_col += size
+
+    n = next_col
+    blocks = _Blocks(positions=np.array(positions, dtype=np.int64),
+                     firsts=np.array(firsts, dtype=np.int64),
+                     tables=block_tables)
+    lengths = geometry.num_slots[blocks.positions]
+    station_ids = np.repeat(
+        np.asarray(geometry.station_ids, dtype=np.int64)[blocks.positions],
+        lengths)
+    slots = np.arange(n) - np.repeat(blocks.firsts, lengths)
+    request_ids = np.repeat(np.array(choice_rids, dtype=np.int64),
+                            choice_sizes)
+    lp.add_variables_bulk(
+        partial(_column_names, request_ids, station_ids, slots),
+        np.zeros(n), np.ones(n),
+        np.concatenate(objectives) if objectives else np.zeros(0))
 
     # Constraint (9): each request starts in at most one slot.  A
-    # request's columns are contiguous (its blocks were appended
-    # back-to-back), so the row is a pure index range.
-    next_first = 0
-    for rid, names in by_request.items():
-        if names:
-            first = next_first
-            lp.add_constraint_indexed(
-                dict.fromkeys(range(first, first + len(names)), 1.0),
-                "<=", 1.0, name=f"choice_{rid}")
-        next_first += len(names)
+    # request's columns are contiguous and requests follow each other,
+    # so the rows are consecutive index ranges covering every column.
+    choice_ptr = np.zeros(len(choice_sizes) + 1, dtype=np.int64)
+    np.cumsum(choice_sizes, out=choice_ptr[1:])
+    lp.add_rows_csr(choice_ptr, np.arange(n), np.ones(n), "<=", 1.0,
+                    names=partial(_choice_names, choice_rids))
 
     # Constraints (10)/(23) + the per-station expected-capacity row.
     # The capacity row is a valid per-station bound with no slack
@@ -400,24 +528,12 @@ def _build_model(lp: LinearProgram, instance: ProblemInstance,
     # *choose* which requests to carry when the workload exceeds
     # capacity - which is where the expected-reward awareness of the
     # objective actually bites.
-    for sid in instance.network.station_ids:
-        station = blocks[sid]
-        geo = station.geometry
-        share = _share_rate(geo, instance, fair_share_count)
-        prefix_caps, capacity_cap = _effective_caps(geo, share)
-        for m, coeffs in station.prefix_rows(prefix_caps):
-            lp.add_constraint_indexed(
-                coeffs, "<=",
-                PREFIX_SLACK * geo.threshold_rates[m - 1],
-                name=f"prefix_{sid}_{m}")
-        coeffs = station.capacity_row(capacity_cap)
-        if coeffs:
-            lp.add_constraint_indexed(coeffs, "<=", geo.capacity_rate,
-                                      name=f"capacity_{sid}")
+    keys, indptr, indices, data = blocks.capped_rows(geometry, caps)
+    lp.add_rows_csr(indptr, indices, data, "<=", geometry.row_rhs[keys],
+                    names=partial(geometry.row_names, keys))
 
-    index = LpIndex(
-        triples=triples,
-        by_request={rid: tuple(names) for rid, names in by_request.items()})
+    index = LpIndex(request_ids=request_ids, station_ids=station_ids,
+                    slots=slots, ranges=ranges, columns_id=lp.columns_id)
     return index, blocks
 
 
@@ -441,7 +557,8 @@ def build_lp_relaxation(instance: ProblemInstance,
     lp = LinearProgram(name="LP", maximize=True)
     index, _blocks = _build_model(lp, instance, requests, waiting,
                                   fair_share_count=None,
-                                  tables=_TableCache())
+                                  tables=_TableCache(),
+                                  geometry=_Geometry(instance))
     return lp, index
 
 
@@ -477,7 +594,8 @@ def build_lp_pt(instance: ProblemInstance,
     lp = LinearProgram(name="LP-PT", maximize=True)
     index, _blocks = _build_model(lp, instance, requests, waiting,
                                   fair_share_count=count,
-                                  tables=_TableCache())
+                                  tables=_TableCache(),
+                                  geometry=_Geometry(instance))
     return lp, index
 
 
@@ -492,9 +610,9 @@ class LpPtWorkspace:
     count ``|R_t|``.  The workspace exploits that:
 
     * **table reuse** - per-request :class:`_DistTables` (including the
-      truncated-rate memo) survive across rounds, so a rebuild touches
-      no distribution arithmetic for previously seen (request, cap)
-      pairs;
+      truncated-rate memos) and the instance's :class:`_Geometry`
+      survive across rounds, so a rebuild touches no distribution
+      arithmetic for previously seen (request, cap) pairs;
     * **model reuse** - when the column structure (request order and
       feasible-station sets) and the fair-share count are unchanged,
       the previous round's model object is returned as-is, letting a
@@ -518,13 +636,13 @@ class LpPtWorkspace:
         #: deadline pruning reduces to one threshold pass.
         self._delays: Dict[int, Tuple[ARRequest,
                                       List[Tuple[float, int]]]] = {}
-        self._delay_instance: Optional[ProblemInstance] = None
+        self._geometry: Optional[_Geometry] = None
         self._instance: Optional[ProblemInstance] = None
         self._columns: Optional[Tuple] = None
         self._count: Optional[int] = None
         self._model: Optional[LinearProgram] = None
         self._index: Optional[LpIndex] = None
-        self._blocks: Optional[Dict[int, _StationBlocks]] = None
+        self._blocks: Optional[_Blocks] = None
         #: Rounds that rebuilt the model (cached tables only).
         self.rebuilds = 0
         #: Rounds that returned the previous model unchanged.
@@ -540,24 +658,24 @@ class LpPtWorkspace:
               fair_share_count: int
               ) -> Tuple[LinearProgram, LpIndex]:
         """Build (or reuse / patch) the round's LP-PT."""
-        if instance is not self._delay_instance:
+        if instance is not self._instance:
             self._delays.clear()
-            self._delay_instance = instance
+            self._geometry = _Geometry(instance)
+            self._instance = instance
+            self._model = None
         feasible = {
             r.request_id: self._feasible_stations(
                 instance, r, waiting.get(r.request_id, 0.0))
             for r in requests}
         columns = tuple((r.request_id, tuple(feasible[r.request_id]))
                         for r in requests)
-        unchanged = (self._model is not None
-                     and instance is self._instance
-                     and columns == self._columns)
+        unchanged = self._model is not None and columns == self._columns
         if unchanged and fair_share_count == self._count:
             self.reuses += 1
             self.last_mode = "reuse"
             return self._model, self._index
         if unchanged:
-            self._patch_share_rows(instance, fair_share_count)
+            self._patch_share_rows(fair_share_count)
             self._count = fair_share_count
             self.row_updates += 1
             self.last_mode = "row_update"
@@ -567,8 +685,8 @@ class LpPtWorkspace:
         index, blocks = _build_model(lp, instance, requests, waiting,
                                      fair_share_count=fair_share_count,
                                      tables=self._tables,
+                                     geometry=self._geometry,
                                      feasible=feasible)
-        self._instance = instance
         self._columns = columns
         self._count = fair_share_count
         self._model = lp
@@ -600,8 +718,7 @@ class LpPtWorkspace:
         return [sid for delay, sid in entry[1]
                 if waiting_ms + delay <= threshold]
 
-    def _patch_share_rows(self, instance: ProblemInstance,
-                          fair_share_count: int) -> None:
+    def _patch_share_rows(self, fair_share_count: int) -> None:
         """Rewrite rows whose effective cap moved with ``|R_t|``.
 
         Row *presence* is invariant under a share change: a station
@@ -609,28 +726,28 @@ class LpPtWorkspace:
         ``cap > 0`` rows, so every affected row already exists and the
         patch never needs to add or drop one.
         """
-        assert self._model is not None and self._blocks is not None
-        lp = self._model
-        for sid, station in self._blocks.items():
-            if not station.first_cols:
-                continue
-            geo = station.geometry
-            old_share = _share_rate(geo, instance, self._count)
-            new_share = _share_rate(geo, instance, fair_share_count)
-            old_prefix, old_capacity = _effective_caps(geo, old_share)
-            new_prefix, new_capacity = _effective_caps(geo, new_share)
-            for m in range(1, geo.num_slots + 1):
-                if new_prefix[m - 1] == old_prefix[m - 1]:
-                    continue
-                coeffs = station.prefix_row(m, new_prefix[m - 1])
-                if coeffs:
-                    lp.update_constraint_indexed(f"prefix_{sid}_{m}",
-                                                 coeffs)
-            # Exact on purpose: an unchanged cap means the row's
-            # coefficients are the same floats - only bit-level moves
-            # warrant a rewrite (tolerances would skip real changes).
-            if new_capacity != old_capacity:  # repro: noqa NUM001 -- bitwise change detection
-                coeffs = station.capacity_row(new_capacity)
-                if coeffs:
-                    lp.update_constraint_indexed(f"capacity_{sid}",
-                                                 coeffs)
+        assert (self._model is not None and self._blocks is not None
+                and self._geometry is not None)
+        geometry = self._geometry
+        old_caps = geometry.station_caps(self._count)
+        new_caps = geometry.station_caps(fair_share_count)
+        # Exact on purpose: an unchanged cap means the row's
+        # coefficients are the same floats - only bit-level moves
+        # warrant a rewrite (tolerances would skip real changes).
+        moved = {int(geometry.row_offset[geometry.position[sid]]) + j
+                 for sid in geometry.station_ids
+                 for j, (old, new) in enumerate(zip(old_caps[sid],
+                                                    new_caps[sid]))
+                 if old != new}  # repro: noqa NUM001 -- bitwise change detection
+        if not moved:
+            return
+        keys, indptr, indices, data = self._blocks.capped_rows(geometry,
+                                                               new_caps)
+        names = geometry.row_names(keys)
+        bounds = indptr.tolist()
+        for row, key in enumerate(keys.tolist()):
+            if key in moved:
+                lo, hi = bounds[row], bounds[row + 1]
+                self._model.update_constraint_indexed(
+                    names[row], dict(zip(indices[lo:hi].tolist(),
+                                         data[lo:hi].tolist())))

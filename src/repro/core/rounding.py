@@ -163,8 +163,9 @@ def admit_slot_by_slot(instance: ProblemInstance,
 
     outcomes: List[AdmissionOutcome] = []
     max_slots = instance.max_num_slots()
+    station_ids = instance.network.station_ids
     for slot in range(max_slots):
-        for station_id in instance.network.station_ids:
+        for station_id in station_ids:
             candidates = by_station_slot.get((station_id, slot), [])
             candidates.sort(key=lambda a: (
                 request_by_id[a.request_id].expected_rate_mbps,

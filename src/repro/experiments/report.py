@@ -239,7 +239,7 @@ def timing_markdown(timings: Sequence[Tuple[str, float, float]],
 
 
 def build_report(scale: Optional[ExperimentScale] = None,
-                 figures: Sequence[FigureSpec] = DEFAULT_FIGURES,
+                 figures: Optional[Sequence[FigureSpec]] = None,
                  include_theorems: bool = True,
                  title: str = "Reproduction report",
                  workers: int = 1,
@@ -257,7 +257,8 @@ def build_report(scale: Optional[ExperimentScale] = None,
 
     Args:
         scale: sweep preset (bench scale when None).
-        figures: the figure drivers to run.
+        figures: the figure drivers to run; None runs the module's
+            ``DEFAULT_FIGURES``, looked up at call time.
         include_theorems: append the theorem-check studies.
         title: report heading.
         workers: worker processes per sweep (1 = serial, 0 = one per
@@ -299,6 +300,8 @@ def build_report(scale: Optional[ExperimentScale] = None,
             caller).
     """
     scale = (scale or bench_scale()).validate()
+    if figures is None:
+        figures = DEFAULT_FIGURES
     parts = [f"# {title}",
              "",
              f"Sweeps: |R| in {scale.request_counts}, |BS| in "

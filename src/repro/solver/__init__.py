@@ -10,8 +10,8 @@ provides everything needed to solve them:
   (Bland's rule, bounded variables via substitution rows),
 * :mod:`~repro.solver.branch_and_bound` - a from-scratch best-first
   branch-and-bound ILP solver on top of any LP backend,
-* :mod:`~repro.solver.scipy_backend` - adapters to scipy's HiGHS
-  ``linprog`` / ``milp`` for large instances,
+* :mod:`~repro.solver.scipy_backend` - HiGHS (as bundled with scipy):
+  LPs handed to it directly as arrays, ILPs through ``milp``,
 * :func:`~repro.solver.interface.solve_lp` /
   :func:`~repro.solver.interface.solve_ilp` - the dispatch layer.
 

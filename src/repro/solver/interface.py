@@ -27,8 +27,8 @@ replications) thread a :class:`WarmStartState` through
   when it is still primal feasible, skipping phase 1.  Basis-warmed
   results agree with cold ones to solver tolerance (the tableau is
   refactorized through a dense linear solve), so the default ``scipy``
-  backend never uses it; HiGHS via scipy exposes no basis hand-off, so
-  for that backend a *changed* model simply solves cold.
+  backend never uses it: for HiGHS a *changed* model simply solves
+  cold, which keeps its solutions identical to ``linprog``'s.
 
 The ``lp_solve`` telemetry span is annotated with
 ``warm="cold" | "hit" | "miss" | "basis"`` so traces show exactly which

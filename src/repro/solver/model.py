@@ -1,23 +1,37 @@
 """Solver-agnostic linear program model container.
 
-A :class:`LinearProgram` accumulates named variables (with bounds,
-objective coefficients, and integrality flags) and linear constraints,
-then exports matrices for whichever backend solves it.  Rows are stored
-sparsely (index -> coefficient maps) and the preferred export is
-:meth:`LinearProgram.sparse_rows`, which assembles CSR matrices in
-O(nnz) - the paper's slot-indexed LPs are overwhelmingly zero, and the
-HiGHS backend consumes CSR directly.  :meth:`dense_rows` remains for
-the dense tableau simplex and for tests that want to see the full
-matrices.
+A :class:`LinearProgram` accumulates variables (with bounds, objective
+coefficients, and integrality flags) and linear constraints, then
+exports matrices for whichever backend solves it.
+
+Rows are stored as one CSR matrix (``indptr``/``indices``/``data``
+arrays, column indices ascending within each row) with a sense and a
+right-hand side per row.  :meth:`LinearProgram.add_rows_csr` appends a
+whole block of rows in that form - the paper's slot-indexed LPs are
+built one constraint *family* at a time as arrays - and the per-row
+entry points (:meth:`~LinearProgram.add_constraint`,
+:meth:`~LinearProgram.add_constraint_indexed`) are one-row blocks of
+it.  Everything else is derived from the arrays on demand and cached
+against the model version: the ``(A_ub, b_ub, A_eq, b_eq)`` exports
+(:meth:`~LinearProgram.csr_export`, :meth:`~LinearProgram.sparse_rows`,
+:meth:`~LinearProgram.dense_rows`), the :class:`Constraint` view, and
+:meth:`~LinearProgram.content_key`.
+
+Names are derived on demand too.  A bulk append may pass a callable
+that returns the block's names instead of the names themselves, so a
+builder that never looks a column up by name never formats one;
+:class:`ColumnValues` keys a solution vector by those names lazily in
+the same way.
 
 The container also supports in-place *incremental* edits
-(:meth:`update_constraint`, :meth:`set_variable_bounds`,
-:meth:`set_objective`) so a caller re-solving a near-identical model -
-DynamicRR's per-round LP-PT is the canonical case - can mutate the few
-changed rows instead of regenerating everything.  A monotonically
-increasing version counter invalidates the cached exports and feeds the
-:meth:`content_key` fingerprint that warm-started solves use to detect
-an unchanged model.
+(:meth:`~LinearProgram.update_constraint`,
+:meth:`~LinearProgram.set_variable_bounds`,
+:meth:`~LinearProgram.set_objective`) so a caller re-solving a
+near-identical model - DynamicRR's per-round LP-PT is the canonical
+case - can mutate the few changed rows instead of regenerating
+everything.  A monotonically increasing version counter invalidates
+the cached exports and lets warm-started solves detect an unchanged
+model.
 """
 
 from __future__ import annotations
@@ -25,7 +39,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
 import numpy as np
 from scipy import sparse
@@ -35,6 +50,9 @@ from ..exceptions import ConfigurationError
 #: Allowed constraint senses.
 SENSES = ("<=", ">=", "==")
 
+#: A block's names: the names themselves, or a callable returning them.
+NameSource = Union[Sequence[str], Callable[[], Sequence[str]]]
+
 
 def _float_list(seq: Sequence[float]) -> List[float]:
     """`seq` as a list of Python floats (identical values, C-speed)."""
@@ -43,21 +61,10 @@ def _float_list(seq: Sequence[float]) -> List[float]:
     return [float(x) for x in seq]
 
 
-def _indexed_row(coeffs: Mapping[int, float]) -> Dict[int, float]:
-    """Normalize an index-keyed row: int keys, float values, no zeros.
-
-    ``map``/``zip``/``dict`` run the conversions at C speed; the
-    explicit comprehension only runs in the rare case a structural zero
-    actually needs dropping.
-    """
-    row = dict(zip(map(int, coeffs.keys()), map(float, coeffs.values())))
-    if 0.0 in row.values():
-        # Exact comparison on purpose: only *structural* zeros are
-        # dropped - a near-zero coefficient is part of the formulation
-        # and must reach the solver untouched.
-        row = {idx: coef for idx, coef in row.items()
-               if coef != 0.0}  # repro: noqa NUM001 -- structural zero-drop
-    return row
+def _trivially_satisfied(sense: str, rhs: float) -> bool:
+    """Whether an empty row ``0 <sense> rhs`` holds."""
+    return ((sense == "<=" and rhs >= 0) or (sense == ">=" and rhs <= 0)
+            or (sense == "==" and rhs == 0))
 
 
 @dataclass(frozen=True)
@@ -87,7 +94,8 @@ class Constraint:
 
     Attributes:
         name: unique constraint name.
-        coeffs: variable index -> coefficient (sparse row).
+        coeffs: variable index -> coefficient (sparse row, ascending
+            index order).
         sense: one of ``<=``, ``>=``, ``==``.
         rhs: right-hand side.
     """
@@ -96,6 +104,106 @@ class Constraint:
     coeffs: Mapping[int, float]
     sense: str
     rhs: float
+
+
+class CsrRows(NamedTuple):
+    """One row group of an export: CSR arrays plus right-hand sides."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    rhs: np.ndarray
+
+
+class _Names:
+    """Names of a growing sequence of columns or rows.
+
+    Blocks are appended either as names or as a callable producing
+    them; lookups materialize every pending block once, in order.
+    Eagerly given names are checked for duplicates; a callable's names
+    must be unique by construction (they are not checked).
+    """
+
+    __slots__ = ("_pending", "_size", "_list", "_index")
+
+    def __init__(self) -> None:
+        self._pending: List[NameSource] = []
+        self._size = 0
+        self._list: List[str] = []
+        self._index: Dict[str, int] = {}
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _materialize(self) -> None:
+        for source in self._pending:
+            names = source() if callable(source) else source
+            start = len(self._list)
+            self._list.extend(names)
+            self._index.update(zip(names, range(start, len(self._list))))
+        self._pending.clear()
+
+    def add(self, names: Sequence[str], owner: str, kind: str) -> None:
+        """Append checked names (raises on a duplicate)."""
+        self._materialize()
+        seen = set()
+        for name in names:
+            if name in self._index or name in seen:
+                raise ConfigurationError(
+                    f"{owner}: duplicate {kind} {name!r}")
+            seen.add(name)
+        start = len(self._list)
+        self._list.extend(names)
+        self._index.update(zip(names, range(start, len(self._list))))
+        self._size += len(names)
+
+    def add_lazy(self, source: Callable[[], Sequence[str]],
+                 count: int) -> None:
+        """Append `count` names produced by `source` when first needed."""
+        self._pending.append(source)
+        self._size += count
+
+    def position(self, name: str) -> Optional[int]:
+        self._materialize()
+        return self._index.get(name)
+
+    def as_list(self) -> List[str]:
+        self._materialize()
+        return self._list
+
+
+class ColumnValues(Mapping[str, float]):
+    """A solve's column vector, read by variable name.
+
+    Behaves as the ``name -> value`` mapping a solve returns, without
+    formatting every column name per solve: :attr:`x` holds the values
+    in column order and names resolve through the model only when a
+    caller asks for one.  :attr:`columns_id` identifies the column
+    numbering ``x`` follows (see :attr:`LinearProgram.columns_id`), so
+    a column-indexed reader can take ``x`` directly.
+    """
+
+    __slots__ = ("x", "columns_id", "_lp")
+
+    def __init__(self, lp: "LinearProgram", x: np.ndarray) -> None:
+        self.x = x
+        self.columns_id = lp.columns_id
+        self._lp = lp
+
+    def __getitem__(self, name: str) -> float:
+        col = self._lp._var_names.position(name)
+        if col is None or col >= self.x.size:
+            raise KeyError(name)
+        return float(self.x[col])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._lp._var_names.as_list()[:self.x.size])
+
+    def __len__(self) -> int:
+        return int(self.x.size)
+
+    def __repr__(self) -> str:
+        return f"ColumnValues({dict(self)!r})"
 
 
 class LinearProgram:
@@ -110,28 +218,29 @@ class LinearProgram:
     def __init__(self, name: str = "lp", maximize: bool = True) -> None:
         self.name = name
         self.maximize = maximize
-        # Columns live in parallel lists, not Variable objects: the
-        # slot-indexed LPs append tens of thousands of columns per
-        # build, and plain list appends beat dataclass construction by
-        # an order of magnitude.  The Variable view is materialized
-        # lazily (and cached per version) by :attr:`variables`.
-        self._names: List[str] = []
+        # Columns live in parallel lists, not Variable objects; the
+        # Variable view is materialized lazily by :attr:`variables`.
+        self._var_names = _Names()
         self._lows: List[float] = []
         self._highs: List[float] = []
         self._objs: List[float] = []
         self._ints: List[bool] = []
-        self._var_index: Dict[str, int] = {}
-        self._constraints: List[Constraint] = []
-        self._con_names: Dict[str, int] = {}
+        # Rows: one CSR matrix.
+        self._indptr = np.zeros(1, dtype=np.int32)
+        self._indices = np.zeros(0, dtype=np.int32)
+        self._data = np.zeros(0, dtype=float)
+        self._senses: List[str] = []
+        self._rhs: List[float] = []
+        self._con_names = _Names()
+        #: Identifies this model's column numbering.  Columns are only
+        #: ever appended, so column ``j`` means the same variable for
+        #: the model's whole life.
+        self.columns_id = object()
         #: Bumped on every structural edit; keys the export/fingerprint
         #: caches and lets warm-start state detect "same model object,
         #: unchanged since the last solve".
         self._version = 0
-        self._vars_cache: Optional[Tuple[int, Tuple[Variable, ...]]] = None
-        self._sparse_cache: Optional[Tuple[int, Tuple[Any, ...]]] = None
-        self._key_cache: Optional[Tuple[int, bytes]] = None
-        self._bounds_cache: Optional[
-            Tuple[int, Optional[Tuple[float, float]]]] = None
+        self._caches: Dict[str, Tuple[int, Any]] = {}
 
     @property
     def version(self) -> int:
@@ -141,8 +250,16 @@ class LinearProgram:
     def _touch(self) -> None:
         self._version += 1
 
+    def _cached(self, key: str, build: Callable[[], Any]) -> Any:
+        entry = self._caches.get(key)
+        if entry is not None and entry[0] == self._version:
+            return entry[1]
+        value = build()
+        self._caches[key] = (self._version, value)
+        return value
+
     # ------------------------------------------------------------------
-    # Construction
+    # Construction: columns
     # ------------------------------------------------------------------
     def add_variable(self, name: str, low: float = 0.0,
                      high: float = math.inf, objective: float = 0.0,
@@ -152,26 +269,22 @@ class LinearProgram:
         Raises:
             ConfigurationError: on duplicate names or ``low > high``.
         """
-        if name in self._var_index:
-            raise ConfigurationError(
-                f"{self.name}: duplicate variable {name!r}")
         if low > high:
             raise ConfigurationError(
                 f"{self.name}: variable {name!r} has low {low} > high {high}")
-        index = len(self._names)
+        index = len(self._lows)
+        self._var_names.add((name,), self.name, "variable")
         var = Variable(name=name, index=index, low=float(low),
                        high=float(high), objective=float(objective),
                        integer=bool(integer))
-        self._names.append(name)
         self._lows.append(var.low)
         self._highs.append(var.high)
         self._objs.append(var.objective)
         self._ints.append(var.integer)
-        self._var_index[name] = index
         self._touch()
         return var
 
-    def add_variables_bulk(self, names: Sequence[str],
+    def add_variables_bulk(self, names: NameSource,
                            lows: Sequence[float],
                            highs: Sequence[float],
                            objectives: Sequence[float],
@@ -179,38 +292,152 @@ class LinearProgram:
         """Append a block of variables; returns the first column index.
 
         The bulk path exists for vectorized model builders (the
-        slot-indexed LP creates ``|R| x |BS| x L`` columns): it skips
-        the per-call overhead of :meth:`add_variable` while performing
-        the same validation.
+        slot-indexed LP creates ``|R| x |BS| x L`` columns).  `names`
+        may be a callable returning the block's names: they are then
+        produced only when something looks a name up, and must be
+        unique by construction.
 
         Raises:
             ConfigurationError: on duplicate names, mismatched sequence
                 lengths, or ``low > high``.
         """
-        if not (len(names) == len(lows) == len(highs) == len(objectives)):
+        lazy = callable(names)
+        count = len(objectives)
+        if not (len(lows) == len(highs) == count
+                and (lazy or len(names) == count)):
             raise ConfigurationError(
                 f"{self.name}: bulk sequences have mismatched lengths")
         lows_f = _float_list(lows)
         highs_f = _float_list(highs)
-        objs_f = _float_list(objectives)
-        first = len(self._names)
-        var_index = self._var_index
-        for offset, name in enumerate(names):
-            if name in var_index:
-                raise ConfigurationError(
-                    f"{self.name}: duplicate variable {name!r}")
-            if lows_f[offset] > highs_f[offset]:
-                raise ConfigurationError(
-                    f"{self.name}: variable {name!r} has low "
-                    f"{lows_f[offset]} > high {highs_f[offset]}")
-            var_index[name] = first + offset
-        self._names.extend(names)
+        bad = [i for i, (low, high) in enumerate(zip(lows_f, highs_f))
+               if low > high]
+        if bad:
+            label = (repr(names[bad[0]]) if not lazy
+                     else f"#{len(self._lows) + bad[0]}")
+            raise ConfigurationError(
+                f"{self.name}: variable {label} has low "
+                f"{lows_f[bad[0]]} > high {highs_f[bad[0]]}")
+        if lazy:
+            self._var_names.add_lazy(names, count)
+        else:
+            self._var_names.add(names, self.name, "variable")
+        first = len(self._lows)
         self._lows.extend(lows_f)
         self._highs.extend(highs_f)
-        self._objs.extend(objs_f)
-        self._ints.extend([bool(integer)] * len(names))
+        self._objs.extend(_float_list(objectives))
+        self._ints.extend([bool(integer)] * count)
         self._touch()
         return first
+
+    # ------------------------------------------------------------------
+    # Construction: rows
+    # ------------------------------------------------------------------
+    def add_rows_csr(self, indptr: Sequence[int], indices: Sequence[int],
+                     data: Sequence[float], sense: str,
+                     rhs: Union[float, Sequence[float]],
+                     names: Optional[NameSource] = None) -> int:
+        """Append a block of rows given as CSR arrays; returns the first
+        row position.
+
+        Row ``k`` holds ``data[indptr[k]:indptr[k + 1]]`` at columns
+        ``indices[indptr[k]:indptr[k + 1]]``; every row of the block
+        has sense `sense`, and `rhs` is one value per row (or one for
+        all).  Structural zeros are dropped, columns are sorted within
+        each row, and an empty row must be trivially satisfiable.
+        `names` may be a callable (see :meth:`add_variables_bulk`);
+        None names rows ``c<position>``.
+
+        Raises:
+            ConfigurationError: on bad senses, out-of-range or repeated
+                column indices, mismatched lengths, duplicate names, or
+                a trivially infeasible empty row.
+        """
+        if sense not in SENSES:
+            raise ConfigurationError(
+                f"{self.name}: bad sense {sense!r}, want one of {SENSES}")
+        ptr = np.asarray(indptr, dtype=np.int64)
+        cols = np.asarray(indices, dtype=np.int64)
+        vals = np.asarray(data, dtype=float)
+        num_rows = ptr.size - 1
+        rhs_arr = np.asarray(rhs, dtype=float)
+        if rhs_arr.ndim == 0:
+            rhs_arr = np.full(max(num_rows, 0), float(rhs_arr))
+        counts = np.diff(ptr)
+        if (num_rows < 0 or ptr[0] != 0 or ptr[-1] != cols.size
+                or vals.size != cols.size or rhs_arr.shape != (num_rows,)
+                or (counts < 0).any()):
+            raise ConfigurationError(
+                f"{self.name}: malformed CSR row block")
+        n = len(self._lows)
+        if cols.size and (cols.min() < 0 or cols.max() >= n):
+            bad = cols.min() if cols.min() < 0 else cols.max()
+            raise ConfigurationError(
+                f"{self.name}: column index {bad} out of range [0, {n})")
+        # Exact comparison on purpose: only *structural* zeros are
+        # dropped - a near-zero coefficient is part of the formulation
+        # and must reach the solver untouched.
+        if not vals.all():
+            keep = vals != 0.0  # repro: noqa NUM001 -- structural zero-drop
+            row_of = np.repeat(np.arange(num_rows), counts)
+            cols, vals = cols[keep], vals[keep]
+            counts = np.bincount(row_of[keep], minlength=num_rows)
+            ptr = np.concatenate(([0], np.cumsum(counts)))
+        if cols.size > 1:
+            # A step that does not increase, other than across a row
+            # boundary, means a row is unsorted or repeats a column.
+            descent = np.diff(cols) <= 0
+            starts = ptr[1:-1]
+            descent[starts[(starts > 0) & (starts < cols.size)] - 1] = False
+            if descent.any():
+                row_of = np.repeat(np.arange(num_rows), counts)
+                order = np.lexsort((cols, row_of))
+                cols, vals = cols[order], vals[order]
+                repeat = np.diff(cols) == 0
+                repeat[starts[(starts > 0) & (starts < cols.size)] - 1] = False
+                if repeat.any():
+                    raise ConfigurationError(
+                        f"{self.name}: repeated column index in a row")
+        empty = counts == 0
+        if empty.any():
+            for value in rhs_arr[empty].tolist():
+                if not _trivially_satisfied(sense, value):
+                    raise ConfigurationError(
+                        f"{self.name}: empty constraint row with sense "
+                        f"{sense} rhs {value} is infeasible")
+        first = len(self._senses)
+        if names is None:
+            names = [f"c{first + k}" for k in range(num_rows)]
+        if callable(names):
+            self._con_names.add_lazy(names, num_rows)
+        else:
+            if len(names) != num_rows:
+                raise ConfigurationError(
+                    f"{self.name}: {len(names)} names for {num_rows} rows")
+            self._con_names.add(names, self.name, "constraint")
+        self._indptr = np.concatenate(
+            (self._indptr, self._indptr[-1] + np.cumsum(counts,
+                                                        dtype=np.int32)))
+        self._indices = np.concatenate((self._indices,
+                                        cols.astype(np.int32)))
+        self._data = np.concatenate((self._data, vals))
+        self._senses.extend([sense] * num_rows)
+        self._rhs.extend(rhs_arr.tolist())
+        self._touch()
+        return first
+
+    def _row_from_mapping(self, coeffs: Mapping[Any, float],
+                          by_name: bool) -> Tuple[List[int], List[float]]:
+        if by_name:
+            cols = []
+            for var_name in coeffs:
+                col = self._var_names.position(var_name)
+                if col is None:
+                    raise ConfigurationError(
+                        f"{self.name}: unknown variable {var_name!r}")
+                cols.append(col)
+        else:
+            cols = list(map(int, coeffs.keys()))
+        return cols, list(map(float, coeffs.values()))
 
     def add_constraint(self, coeffs: Mapping[str, float], sense: str,
                        rhs: float, name: Optional[str] = None) -> Constraint:
@@ -227,76 +454,66 @@ class LinearProgram:
         if sense not in SENSES:
             raise ConfigurationError(
                 f"{self.name}: bad sense {sense!r}, want one of {SENSES}")
-        row: Dict[int, float] = {}
-        for var_name, coef in coeffs.items():
-            if var_name not in self._var_index:
-                raise ConfigurationError(
-                    f"{self.name}: unknown variable {var_name!r}")
-            # Exact comparison on purpose: only *structural* zeros are
-            # dropped from the row.  A near-zero coefficient is part of
-            # the formulation and must reach the solver untouched - a
-            # tolerance here would silently change the model.
-            if coef != 0.0:  # repro: noqa NUM001 -- structural zero-drop
-                row[self._var_index[var_name]] = float(coef)
-        if not row:
-            trivially_ok = ((sense == "<=" and rhs >= 0)
-                            or (sense == ">=" and rhs <= 0)
-                            or (sense == "==" and rhs == 0))
-            if not trivially_ok:
-                raise ConfigurationError(
-                    f"{self.name}: empty constraint row with sense {sense} "
-                    f"rhs {rhs} is infeasible")
-        return self._append_constraint(row, sense, float(rhs), name)
+        cols, vals = self._row_from_mapping(coeffs, by_name=True)
+        return self._add_one_row(cols, vals, sense, rhs, name)
 
     def add_constraint_indexed(self, coeffs: Mapping[int, float],
                                sense: str, rhs: float,
                                name: Optional[str] = None) -> Constraint:
-        """Add a constraint keyed by column *index* (fast path).
+        """Add a constraint keyed by column *index*.
 
-        Vectorized builders already hold column indices, so this path
-        skips the name->index resolution of :meth:`add_constraint`.
-        The same structural-zero drop applies; indices are validated
+        Same rules as :meth:`add_constraint`; indices are validated
         against the current column count.
 
         Raises:
             ConfigurationError: on bad senses, out-of-range indices, or
                 a trivially infeasible empty row.
         """
-        if sense not in SENSES:
-            raise ConfigurationError(
-                f"{self.name}: bad sense {sense!r}, want one of {SENSES}")
-        n = len(self._names)
-        if coeffs and (min(coeffs) < 0 or max(coeffs) >= n):
-            bad = min(coeffs) if min(coeffs) < 0 else max(coeffs)
-            raise ConfigurationError(
-                f"{self.name}: column index {bad} out of range [0, {n})")
-        row = _indexed_row(coeffs)
-        if not row:
-            trivially_ok = ((sense == "<=" and rhs >= 0)
-                            or (sense == ">=" and rhs <= 0)
-                            or (sense == "==" and rhs == 0))
-            if not trivially_ok:
-                raise ConfigurationError(
-                    f"{self.name}: empty constraint row with sense {sense} "
-                    f"rhs {rhs} is infeasible")
-        return self._append_constraint(row, sense, float(rhs), name)
+        cols, vals = self._row_from_mapping(coeffs, by_name=False)
+        return self._add_one_row(cols, vals, sense, rhs, name)
 
-    def _append_constraint(self, row: Dict[int, float], sense: str,
-                           rhs: float, name: Optional[str]) -> Constraint:
-        if name is None:
-            name = f"c{len(self._constraints)}"
-        if name in self._con_names:
-            raise ConfigurationError(
-                f"{self.name}: duplicate constraint {name!r}")
-        con = Constraint(name=name, coeffs=row, sense=sense, rhs=rhs)
-        self._con_names[name] = len(self._constraints)
-        self._constraints.append(con)
-        self._touch()
-        return con
+    def _add_one_row(self, cols: List[int], vals: List[float], sense: str,
+                     rhs: float, name: Optional[str]) -> Constraint:
+        position = self.add_rows_csr(
+            (0, len(cols)), cols, vals, sense, float(rhs),
+            names=None if name is None else (name,))
+        return self._constraint_at(position)
 
     # ------------------------------------------------------------------
     # Incremental (in-place) edits
     # ------------------------------------------------------------------
+    def _row_position(self, name: str) -> int:
+        position = self._con_names.position(name)
+        if position is None:
+            raise ConfigurationError(
+                f"{self.name}: unknown constraint {name!r}")
+        return position
+
+    def _replace_row(self, position: int, cols: Sequence[int],
+                     vals: Sequence[float], rhs: Optional[float]
+                     ) -> Constraint:
+        """Swap one row's entries (and optionally its rhs) in place."""
+        cols_arr = np.asarray(cols, dtype=np.int64)
+        vals_arr = np.asarray(vals, dtype=float)
+        keep = vals_arr != 0.0  # repro: noqa NUM001 -- structural zero-drop
+        order = np.argsort(cols_arr[keep], kind="stable")
+        cols_arr = cols_arr[keep][order]
+        vals_arr = vals_arr[keep][order]
+        lo, hi = int(self._indptr[position]), int(self._indptr[position + 1])
+        self._indices = np.concatenate(
+            (self._indices[:lo], cols_arr.astype(np.int32),
+             self._indices[hi:]))
+        self._data = np.concatenate(
+            (self._data[:lo], vals_arr, self._data[hi:]))
+        # A fresh array, not an in-place edit: cached exports share it.
+        shifted = self._indptr.copy()
+        shifted[position + 1:] += cols_arr.size - (hi - lo)
+        self._indptr = shifted
+        if rhs is not None:
+            self._rhs[position] = float(rhs)
+        self._touch()
+        return self._constraint_at(position)
+
     def update_constraint(self, name: str,
                           coeffs: Optional[Mapping[str, float]] = None,
                           rhs: Optional[float] = None) -> Constraint:
@@ -315,58 +532,31 @@ class LinearProgram:
         Raises:
             ConfigurationError: unknown row/variables.
         """
-        try:
-            position = self._con_names[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"{self.name}: unknown constraint {name!r}") from None
-        old = self._constraints[position]
-        row: Mapping[int, float]
+        position = self._row_position(name)
         if coeffs is None:
-            row = old.coeffs
+            old = self._constraint_at(position)
+            cols, vals = list(old.coeffs), list(old.coeffs.values())
         else:
-            new_row: Dict[int, float] = {}
-            for var_name, coef in coeffs.items():
-                if var_name not in self._var_index:
-                    raise ConfigurationError(
-                        f"{self.name}: unknown variable {var_name!r}")
-                if coef != 0.0:  # repro: noqa NUM001 -- structural zero-drop
-                    new_row[self._var_index[var_name]] = float(coef)
-            row = new_row
-        new_rhs = old.rhs if rhs is None else float(rhs)
-        con = Constraint(name=name, coeffs=row, sense=old.sense,
-                         rhs=new_rhs)
-        self._constraints[position] = con
-        self._touch()
-        return con
+            cols, vals = self._row_from_mapping(coeffs, by_name=True)
+        return self._replace_row(position, cols, vals, rhs)
 
     def update_constraint_indexed(self, name: str,
                                   coeffs: Mapping[int, float],
                                   rhs: Optional[float] = None
                                   ) -> Constraint:
-        """Index-keyed sibling of :meth:`update_constraint` (fast path).
+        """Index-keyed sibling of :meth:`update_constraint`.
 
         Raises:
             ConfigurationError: unknown row or out-of-range indices.
         """
-        try:
-            position = self._con_names[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"{self.name}: unknown constraint {name!r}") from None
-        old = self._constraints[position]
-        n = len(self._names)
+        position = self._row_position(name)
+        n = len(self._lows)
         if coeffs and (min(coeffs) < 0 or max(coeffs) >= n):
             bad = min(coeffs) if min(coeffs) < 0 else max(coeffs)
             raise ConfigurationError(
                 f"{self.name}: column index {bad} out of range [0, {n})")
-        row = _indexed_row(coeffs)
-        new_rhs = old.rhs if rhs is None else float(rhs)
-        con = Constraint(name=name, coeffs=row, sense=old.sense,
-                         rhs=new_rhs)
-        self._constraints[position] = con
-        self._touch()
-        return con
+        cols, vals = self._row_from_mapping(coeffs, by_name=False)
+        return self._replace_row(position, cols, vals, rhs)
 
     def set_variable_bounds(self, name: str, low: float,
                             high: float) -> Variable:
@@ -396,50 +586,65 @@ class LinearProgram:
     # Introspection
     # ------------------------------------------------------------------
     def _make_variable(self, index: int) -> Variable:
-        return Variable(name=self._names[index], index=index,
+        return Variable(name=self._var_names.as_list()[index], index=index,
                         low=self._lows[index], high=self._highs[index],
                         objective=self._objs[index],
                         integer=self._ints[index])
 
     def _index_of(self, name: str) -> int:
-        try:
-            return self._var_index[name]
-        except KeyError:
+        index = self._var_names.position(name)
+        if index is None:
             raise ConfigurationError(
-                f"{self.name}: unknown variable {name!r}") from None
+                f"{self.name}: unknown variable {name!r}")
+        return index
 
     @property
     def variables(self) -> Tuple[Variable, ...]:
         """All variables, by column index (materialized lazily)."""
-        cached = self._vars_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        view = tuple(Variable(name=name, index=i, low=low, high=high,
-                              objective=obj, integer=integer)
-                     for i, (name, low, high, obj, integer)
-                     in enumerate(zip(self._names, self._lows, self._highs,
-                                      self._objs, self._ints)))
-        self._vars_cache = (self._version, view)
-        return view
+        return self._cached("variables", lambda: tuple(
+            Variable(name=name, index=i, low=low, high=high,
+                     objective=obj, integer=integer)
+            for i, (name, low, high, obj, integer)
+            in enumerate(zip(self._var_names.as_list(), self._lows,
+                             self._highs, self._objs, self._ints))))
 
     def variable_names(self) -> List[str]:
         """All variable names, by column index."""
-        return list(self._names)
+        return list(self._var_names.as_list())
+
+    def _constraint_at(self, position: int) -> Constraint:
+        lo, hi = self._indptr[position], self._indptr[position + 1]
+        return Constraint(
+            name=self._con_names.as_list()[position],
+            coeffs=dict(zip(self._indices[lo:hi].tolist(),
+                            self._data[lo:hi].tolist())),
+            sense=self._senses[position], rhs=self._rhs[position])
 
     @property
     def constraints(self) -> Tuple[Constraint, ...]:
-        """All constraints, in insertion order."""
-        return tuple(self._constraints)
+        """All constraints, in insertion order (derived from the rows)."""
+        def build() -> Tuple[Constraint, ...]:
+            bounds = self._indptr.tolist()
+            cols = self._indices.tolist()
+            vals = self._data.tolist()
+            return tuple(
+                Constraint(name=name,
+                           coeffs=dict(zip(cols[lo:hi], vals[lo:hi])),
+                           sense=sense, rhs=rhs)
+                for name, lo, hi, sense, rhs
+                in zip(self._con_names.as_list(), bounds, bounds[1:],
+                       self._senses, self._rhs))
+        return self._cached("constraints", build)
 
     @property
     def num_variables(self) -> int:
         """Number of columns."""
-        return len(self._names)
+        return len(self._lows)
 
     @property
     def num_constraints(self) -> int:
         """Number of rows."""
-        return len(self._constraints)
+        return len(self._senses)
 
     @property
     def has_integers(self) -> bool:
@@ -465,25 +670,61 @@ class LinearProgram:
         """The single (low, high) pair shared by *every* variable.
 
         Returns None when variables disagree (or there are none).  The
-        paper's programs bound every ``y`` by [0, 1], and scipy accepts
-        one shared pair without materializing the per-variable list -
-        backends use this as a fast path.  Cached by :attr:`version`.
+        paper's programs bound every ``y`` by [0, 1]; backends use this
+        to fill the bound vectors without walking the per-variable
+        lists.  Cached by :attr:`version`.
         """
-        cached = self._bounds_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        result: Optional[Tuple[float, float]] = None
-        if self._names:
+        def build() -> Optional[Tuple[float, float]]:
+            if not self._lows:
+                return None
             low, high = self._lows[0], self._highs[0]
             # Exact on purpose: a fast path may only trigger when the
             # bounds are the *same floats* the per-variable list would
             # carry.  list.count uses the same == as the explicit loop.
-            n = len(self._names)
+            n = len(self._lows)
             if (self._lows.count(low) == n  # repro: noqa NUM001 -- bitwise fast-path guard
                     and self._highs.count(high) == n):
-                result = (low, high)
-        self._bounds_cache = (self._version, result)
-        return result
+                return (low, high)
+            return None
+        return self._cached("uniform_bounds", build)
+
+    def csr_export(self) -> Tuple[CsrRows, CsrRows]:
+        """The ``(A_ub, b_ub)`` and ``(A_eq, b_eq)`` groups as raw CSR.
+
+        ``>=`` rows are negated into ``<=`` form; rows keep insertion
+        order within each group.  Index arrays are int32, data and
+        right-hand sides float64.  Cached against the model version.
+        """
+        return self._cached("csr_export", self._build_csr_export)
+
+    def _build_csr_export(self) -> Tuple[CsrRows, CsrRows]:
+        indptr, indices, data = self._indptr, self._indices, self._data
+        rhs = np.asarray(self._rhs, dtype=float)
+        num_le = self._senses.count("<=")
+        if num_le == len(self._senses):
+            empty = CsrRows(np.zeros(1, dtype=np.int32),
+                            np.zeros(0, dtype=np.int32),
+                            np.zeros(0, dtype=float), np.zeros(0))
+            return CsrRows(indptr, indices, data, rhs), empty
+        senses = np.array(self._senses)
+        groups = []
+        for rows in (np.flatnonzero(senses != "=="),
+                     np.flatnonzero(senses == "==")):
+            counts = (indptr[1:] - indptr[:-1])[rows]
+            ptr = np.zeros(rows.size + 1, dtype=np.int32)
+            np.cumsum(counts, out=ptr[1:])
+            take = (np.repeat(indptr[:-1][rows] - ptr[:-1], counts)
+                    + np.arange(ptr[-1]))
+            group_data = data[take]
+            group_rhs = rhs[rows]
+            flip = senses[rows] == ">="
+            if flip.any():
+                entry_flip = np.repeat(flip, counts)
+                group_data[entry_flip] = -group_data[entry_flip]
+                group_rhs[flip] = -group_rhs[flip]
+            groups.append(CsrRows(ptr, indices[take], group_data,
+                                  group_rhs))
+        return groups[0], groups[1]
 
     def dense_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                   np.ndarray]:
@@ -492,119 +733,68 @@ class LinearProgram:
         ``>=`` rows are negated into ``<=`` form.  Empty matrices have
         shape ``(0, num_variables)``.
         """
-        n = self.num_variables
-        ub_rows: List[np.ndarray] = []
-        ub_rhs: List[float] = []
-        eq_rows: List[np.ndarray] = []
-        eq_rhs: List[float] = []
-        for con in self._constraints:
-            row = np.zeros(n)
-            for idx, coef in con.coeffs.items():
-                row[idx] = coef
-            if con.sense == "<=":
-                ub_rows.append(row)
-                ub_rhs.append(con.rhs)
-            elif con.sense == ">=":
-                ub_rows.append(-row)
-                ub_rhs.append(-con.rhs)
-            else:
-                eq_rows.append(row)
-                eq_rhs.append(con.rhs)
-        a_ub = (np.vstack(ub_rows) if ub_rows
-                else np.zeros((0, n)))
-        a_eq = (np.vstack(eq_rows) if eq_rows
-                else np.zeros((0, n)))
-        return (a_ub, np.array(ub_rhs, dtype=float),
-                a_eq, np.array(eq_rhs, dtype=float))
+        dense = np.zeros((self.num_constraints, self.num_variables))
+        dense[np.repeat(np.arange(self.num_constraints),
+                        np.diff(self._indptr)), self._indices] = self._data
+        senses = np.array(self._senses, dtype=object)
+        rhs = np.asarray(self._rhs, dtype=float)
+        ub = senses != "=="
+        a_ub, b_ub = dense[ub], rhs[ub]
+        flip = senses[ub] == ">="
+        a_ub[flip] = -a_ub[flip]
+        b_ub[flip] = -b_ub[flip]
+        eq = senses == "=="
+        return a_ub, b_ub, dense[eq], rhs[eq]
 
     def sparse_rows(self) -> Tuple["sparse.csr_array", np.ndarray,
                                    "sparse.csr_array", np.ndarray]:
-        """Export as CSR ``(A_ub, b_ub, A_eq, b_eq)`` in O(nnz).
+        """Export as scipy CSR ``(A_ub, b_ub, A_eq, b_eq)``.
 
-        Same row semantics as :meth:`dense_rows` (``>=`` rows negated
-        into ``<=`` form, insertion order preserved within each group)
-        without ever materializing the dense matrices - the slot-indexed
-        LPs are >99% zero at experiment scale, and both scipy entry
-        points (``linprog``/``milp``) consume CSR directly.  Column
-        indices are emitted sorted per row (canonical CSR), so the
+        The :meth:`csr_export` arrays wrapped as ``csr_array``; the
         matrices are bit-identical to ``csr_array(dense_rows()[...])``.
-
-        The export is cached against the model version; repeated solves
-        of an unmutated model pay the assembly once.
+        Cached against the model version.
         """
-        if (self._sparse_cache is not None
-                and self._sparse_cache[0] == self._version):
-            return self._sparse_cache[1]  # type: ignore[return-value]
-        n = self.num_variables
-        ub_indptr = [0]
-        ub_indices: List[int] = []
-        ub_data: List[float] = []
-        ub_rhs: List[float] = []
-        eq_indptr = [0]
-        eq_indices: List[int] = []
-        eq_data: List[float] = []
-        eq_rhs: List[float] = []
-        for con in self._constraints:
-            coeffs = con.coeffs
-            keys = sorted(coeffs)
-            if con.sense == "==":
-                eq_indices.extend(keys)
-                eq_data.extend(map(coeffs.__getitem__, keys))
-                eq_indptr.append(len(eq_indices))
-                eq_rhs.append(con.rhs)
-            elif con.sense == "<=":
-                ub_indices.extend(keys)
-                ub_data.extend(map(coeffs.__getitem__, keys))
-                ub_indptr.append(len(ub_indices))
-                ub_rhs.append(con.rhs)
-            else:  # ">=" rows are negated into "<=" form
-                ub_indices.extend(keys)
-                ub_data.extend(-coeffs[k] for k in keys)
-                ub_indptr.append(len(ub_indices))
-                ub_rhs.append(-con.rhs)
-        a_ub = sparse.csr_array(
-            (np.asarray(ub_data, dtype=float),
-             np.asarray(ub_indices, dtype=np.int32),
-             np.asarray(ub_indptr, dtype=np.int32)),
-            shape=(len(ub_rhs), n))
-        a_eq = sparse.csr_array(
-            (np.asarray(eq_data, dtype=float),
-             np.asarray(eq_indices, dtype=np.int32),
-             np.asarray(eq_indptr, dtype=np.int32)),
-            shape=(len(eq_rhs), n))
-        export = (a_ub, np.asarray(ub_rhs, dtype=float),
-                  a_eq, np.asarray(eq_rhs, dtype=float))
-        self._sparse_cache = (self._version, export)
-        return export
+        def build():
+            n = self.num_variables
+            ub, eq = self.csr_export()
+            return (sparse.csr_array((ub.data, ub.indices, ub.indptr),
+                                     shape=(ub.rhs.size, n)), ub.rhs,
+                    sparse.csr_array((eq.data, eq.indices, eq.indptr),
+                                     shape=(eq.rhs.size, n)), eq.rhs)
+        return self._cached("sparse_rows", build)
 
     def content_key(self) -> bytes:
         """Digest of the full model content (variables, rows, senses).
 
         Two models with equal keys describe byte-identical programs, so
-        a deterministic backend returns the same solution for both -
-        the property :class:`~repro.solver.interface.WarmStartState`
-        relies on to reuse a previous solve exactly.  Cached against
-        the model version.
+        a deterministic backend returns the same solution for both.
+        Cached against the model version.
         """
-        if (self._key_cache is not None
-                and self._key_cache[0] == self._version):
-            return self._key_cache[1]
+        return self._cached("content_key", self._build_content_key)
+
+    def _build_content_key(self) -> bytes:
         h = hashlib.blake2b(digest_size=16)
         h.update(b"max" if self.maximize else b"min")
-        h.update("\x00".join(self._names).encode())
-        meta = np.array([(low, high, obj, float(integer))
-                         for low, high, obj, integer
-                         in zip(self._lows, self._highs, self._objs,
-                                self._ints)], dtype=float)
-        h.update(meta.tobytes())
-        a_ub, b_ub, a_eq, b_eq = self.sparse_rows()
-        for arr in (a_ub.indptr, a_ub.indices, a_ub.data, b_ub,
-                    a_eq.indptr, a_eq.indices, a_eq.data, b_eq):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        h.update("\x00".join(c.name for c in self._constraints).encode())
-        key = h.digest()
-        self._key_cache = (self._version, key)
-        return key
+        h.update("\x00".join(self._var_names.as_list()).encode())
+        if self._lows:
+            meta = np.column_stack((self._lows, self._highs, self._objs,
+                                    np.asarray(self._ints, dtype=float)))
+            h.update(meta.tobytes())
+        for group in self.csr_export():
+            for arr in (group.indptr, group.indices, group.data):
+                h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(group.rhs.tobytes())
+        h.update("\x00".join(self._con_names.as_list()).encode())
+        return h.digest()
+
+    def objective_at(self, x: np.ndarray) -> float:
+        """Objective value of a column vector (natural direction).
+
+        The same float as :meth:`evaluate_objective` of the matching
+        name mapping: products taken in column order and summed left
+        to right.
+        """
+        return float(sum((self.objective_vector() * x).tolist()))
 
     def evaluate_objective(self, values: Mapping[str, float]) -> float:
         """Objective value of an assignment (natural direction)."""
@@ -612,7 +802,8 @@ class LinearProgram:
         # A list comprehension sums in the same left-to-right order as
         # the equivalent generator (identical floats), only faster.
         return float(sum([obj * get(name, 0.0)
-                          for name, obj in zip(self._names, self._objs)]))
+                          for name, obj in zip(self._var_names.as_list(),
+                                               self._objs)]))
 
     def check_feasible(self, values: Mapping[str, float],
                        tol: float = 1e-6) -> List[str]:
@@ -622,15 +813,16 @@ class LinearProgram:
         `tol`.  Useful in tests and for auditing rounded solutions.
         """
         violations: List[str] = []
-        for name, low, high, integer in zip(self._names, self._lows,
+        names = self._var_names.as_list()
+        for name, low, high, integer in zip(names, self._lows,
                                             self._highs, self._ints):
             val = values.get(name, 0.0)
             if val < low - tol or val > high + tol:
                 violations.append(f"bound:{name}")
             if integer and abs(val - round(val)) > tol:
                 violations.append(f"integrality:{name}")
-        for con in self._constraints:
-            lhs = sum(coef * values.get(self._names[idx], 0.0)
+        for con in self.constraints:
+            lhs = sum(coef * values.get(names[idx], 0.0)
                       for idx, coef in con.coeffs.items())
             if con.sense == "<=" and lhs > con.rhs + tol:
                 violations.append(f"constraint:{con.name}")

@@ -130,6 +130,21 @@ class TestLpPt:
 
 
 class TestIndex:
+    def test_options_table_reads_vector_or_names(self, small_instance,
+                                                 small_workload):
+        """The column-vector fast path and the name lookups agree."""
+        lp, index = build_lp_relaxation(small_instance, small_workload)
+        solution = solve_lp(lp)
+        by_vector = index.options_table(solution.values)
+        by_name = index.options_table(dict(solution.values))
+        assert by_vector == by_name
+        for request in small_workload:
+            rid = request.request_id
+            assert index.assignment_options(solution.values, rid) == \
+                by_vector[rid]
+            assert index.assignment_options(dict(solution.values),
+                                            rid) == by_vector[rid]
+
     def test_assignment_options_roundtrip(self, small_instance,
                                           small_workload):
         lp, index = build_lp_relaxation(small_instance, small_workload)

@@ -215,3 +215,107 @@ class TestUniformBounds:
         assert lp.uniform_bounds() is None
         lp.set_variable_bounds("b", 0.0, 1.0)
         assert lp.uniform_bounds() == (0.0, 1.0)
+
+
+class TestCsrRows:
+    """The bulk CSR row entry that every other row path goes through."""
+
+    def base(self) -> LinearProgram:
+        lp = LinearProgram(name="csr")
+        lp.add_variables_bulk(["a", "b", "c", "d"], (0.0,) * 4, (1.0,) * 4,
+                              (1.0, 2.0, 3.0, 4.0))
+        return lp
+
+    def test_block_matches_per_row_adds(self):
+        bulk = self.base()
+        first = bulk.add_rows_csr([0, 2, 5], [0, 3, 1, 2, 3],
+                                  [1.0, 2.0, 3.0, 4.0, 5.0], "<=",
+                                  [6.0, 7.0], names=["r0", "r1"])
+        assert first == 0
+        single = self.base()
+        single.add_constraint_indexed({0: 1.0, 3: 2.0}, "<=", 6.0,
+                                      name="r0")
+        single.add_constraint_indexed({1: 3.0, 2: 4.0, 3: 5.0}, "<=", 7.0,
+                                      name="r1")
+        assert bulk.content_key() == single.content_key()
+
+    def test_rows_are_sorted_and_zeros_dropped(self):
+        lp = self.base()
+        lp.add_rows_csr([0, 3], [2, 0, 1], [3.0, 1.0, 0.0], "<=", 1.0)
+        (con,) = lp.constraints
+        assert list(con.coeffs.items()) == [(0, 1.0), (2, 3.0)]
+        assert con.name == "c0"
+
+    def test_repeated_column_rejected(self):
+        lp = self.base()
+        with pytest.raises(ConfigurationError):
+            lp.add_rows_csr([0, 2], [1, 1], [1.0, 2.0], "<=", 1.0)
+
+    def test_out_of_range_and_malformed_rejected(self):
+        lp = self.base()
+        with pytest.raises(ConfigurationError):
+            lp.add_rows_csr([0, 1], [4], [1.0], "<=", 1.0)
+        with pytest.raises(ConfigurationError):
+            lp.add_rows_csr([0, 2], [0], [1.0], "<=", 1.0)
+        with pytest.raises(ConfigurationError):
+            lp.add_rows_csr([0, 1], [0], [1.0], "<=", [1.0, 2.0])
+        with pytest.raises(ConfigurationError):
+            lp.add_rows_csr([0, 1], [0], [1.0], "<", 1.0)
+
+    def test_empty_row_must_be_trivial(self):
+        lp = self.base()
+        lp.add_rows_csr([0, 0], [], [], "<=", 0.0)
+        with pytest.raises(ConfigurationError):
+            lp.add_rows_csr([0, 0], [], [], ">=", 1.0)
+
+    def test_lazy_names_resolve_on_demand(self):
+        calls = []
+
+        def names():
+            calls.append(1)
+            return ["p", "q"]
+
+        lp = LinearProgram()
+        lp.add_variables_bulk(lambda: ["u", "v"], (0.0,) * 2, (1.0,) * 2,
+                              (1.0, 1.0))
+        lp.add_rows_csr([0, 1, 2], [0, 1], [1.0, 1.0], "<=", 1.0,
+                        names=names)
+        assert calls == []
+        lp.update_constraint_indexed("q", {0: 2.0, 1: 1.0})
+        assert calls == [1]
+        assert lp.variable_names() == ["u", "v"]
+        assert [c.name for c in lp.constraints] == ["p", "q"]
+        assert lp.constraints[1].coeffs == {0: 2.0, 1: 1.0}
+
+    def test_row_update_keeps_other_rows(self):
+        lp = knapsack_lp()
+        before = lp.constraints
+        lp.update_constraint_indexed("floor", {0: 5.0, 1: 1.0, 2: 2.0,
+                                               3: 1.0})
+        after = lp.constraints
+        assert after[0] == before[0] and after[2] == before[2]
+        assert after[1].coeffs == {0: 5.0, 1: 1.0, 2: 2.0, 3: 1.0}
+        assert after[1].sense == ">=" and after[1].rhs == 0.5
+
+
+class TestColumnValues:
+    def test_reads_like_the_name_mapping(self):
+        from repro.solver.model import ColumnValues
+
+        lp = knapsack_lp()
+        values = ColumnValues(lp, np.array([0.5, 0.0, 1.0, 0.25]))
+        assert values == {"x0": 0.5, "x1": 0.0, "x2": 1.0, "x3": 0.25}
+        assert values["x2"] == 1.0 and values.get("zz", -1.0) == -1.0
+        assert list(values) == ["x0", "x1", "x2", "x3"]
+        assert values.columns_id is lp.columns_id
+        assert lp.objective_at(values.x) == lp.evaluate_objective(values)
+
+    def test_survives_pickling(self):
+        import pickle
+
+        from repro.solver.model import ColumnValues
+
+        lp = knapsack_lp()
+        values = ColumnValues(lp, np.array([0.5, 0.0, 1.0, 0.25]))
+        copy = pickle.loads(pickle.dumps(values))
+        assert copy == values
