@@ -9,8 +9,9 @@ because the same instance is reused across workload sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Optional
 
 from ..config import SimulationConfig
 from ..exceptions import ConfigurationError
@@ -39,9 +40,6 @@ class ProblemInstance:
     paths: PathTable
     latency: LatencyModel
     config: SimulationConfig
-    #: (network, slot size, L) behind :meth:`max_num_slots`.
-    _max_slots: Optional[Tuple[MECNetwork, float, int]] = field(
-        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, config: Optional[SimulationConfig] = None,
@@ -86,23 +84,16 @@ class ProblemInstance:
             slot_size_mhz=self.slot_size_mhz)
 
     def max_num_slots(self) -> int:
-        """Largest slot count across stations (the ``L`` loop bound).
+        """Largest slot count across stations (the ``L`` loop bound)."""
+        return self._max_num_slots
 
-        Computed once: station capacities are frozen
-        (:class:`~repro.network.topology.BaseStation`) and nothing
-        reassigns the network or its slot size after construction -
-        the cache is still keyed on both, so doing so recomputes it.
-        """
-        network = self.network
-        slot_size = network.slot_size_mhz
-        cached = self._max_slots
-        if (cached is None or cached[0] is not network
-                or cached[1] != slot_size):  # repro: noqa NUM001 -- bitwise cache key
-            cached = (network, slot_size,
-                      max(network.num_slots(sid)
-                          for sid in network.station_ids))
-            self._max_slots = cached
-        return cached[2]
+    @cached_property
+    def _max_num_slots(self) -> int:
+        # Computed once: station capacities are frozen
+        # (:class:`~repro.network.topology.BaseStation`) and nothing
+        # reassigns the network or its slot size after construction.
+        return max(self.network.num_slots(sid)
+                   for sid in self.network.station_ids)
 
     def new_ledger(self) -> CapacityLedger:
         """A fresh, empty capacity ledger for this network."""

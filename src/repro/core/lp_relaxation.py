@@ -214,14 +214,12 @@ class _DistTables:
     smallest support rates, evaluated with the same contiguous
     slice-and-dot expression as ``expected_reward_within`` so the
     floats are bit-identical to the per-triple evaluation.
-    ``truncated()`` memoizes ``expected_truncated_rate`` per cap and
-    ``truncations()`` per tuple of caps - the capped rows query the
-    same handful of caps for every station and, through
-    :class:`LpPtWorkspace`, for every DynamicRR round.
+    ``truncated()`` memoizes ``expected_truncated_rate`` per cap - the
+    capped rows query the same handful of caps for every station and,
+    through :class:`LpPtWorkspace`, for every DynamicRR round.
     """
 
-    __slots__ = ("distribution", "rates", "reward_prefix", "_trunc",
-                 "_trunc_rows")
+    __slots__ = ("distribution", "rates", "reward_prefix", "_trunc")
 
     def __init__(self, distribution: RateRewardDistribution) -> None:
         self.distribution = distribution
@@ -233,7 +231,6 @@ class _DistTables:
             [float(probs[:k] @ rewards[:k]) for k in range(n + 1)])
 
         self._trunc: Dict[float, float] = {}
-        self._trunc_rows: Dict[Tuple[float, ...], np.ndarray] = {}
 
     def truncated(self, cap: float) -> float:
         """Memoized ``E[min(rho, cap)]`` (exact same float as uncached).
@@ -251,17 +248,6 @@ class _DistTables:
                 value = self.distribution.expected_truncated_rate(cap)
             self._trunc[cap] = value
         return value
-
-    def truncations(self, caps: Tuple[float, ...]) -> np.ndarray:
-        """:meth:`truncated` of each cap, as one memoized array."""
-        row = self._trunc_rows.get(caps)
-        if row is None:
-            memo = self._trunc
-            truncated = self.truncated
-            row = np.array([memo[cap] if cap in memo else truncated(cap)
-                            for cap in caps])
-            self._trunc_rows[caps] = row
-        return row
 
     def reward_within(self, max_rates: np.ndarray) -> np.ndarray:
         """Vectorized ``ER`` over a station's per-slot max rates."""
@@ -427,10 +413,10 @@ class _Blocks:
             ``(keys, indptr, indices, data)`` of the non-empty rows.
         """
         ids = geometry.station_ids
-        trunc = (np.concatenate([
-            tab.truncations(caps[ids[pos]])
-            for tab, pos in zip(self.tables, self.positions.tolist())])
-            if self.tables else np.zeros(0))
+        trunc = np.array([
+            tab.truncated(cap)
+            for tab, pos in zip(self.tables, self.positions.tolist())
+            for cap in caps[ids[pos]]])
         lengths = geometry.num_slots[self.positions]
         fan = lengths + 1
         block = np.repeat(np.arange(lengths.size), fan)
@@ -490,8 +476,11 @@ def _build_model(lp: LinearProgram, instance: ProblemInstance,
         block_tables.extend([tab] * len(stations))
         size = int(concat_max.size)
         ranges[rid] = (next_col, next_col + size)
-        choice_rids.append(rid)
-        choice_sizes.append(size)
+        # Stations too small for one slot give a request no columns;
+        # with only those feasible it has no (empty) choice row either.
+        if size:
+            choice_rids.append(rid)
+            choice_sizes.append(size)
         next_col += size
 
     n = next_col

@@ -45,9 +45,9 @@ def _clone_with_bounds(lp: LinearProgram,
         low, high = overrides.get(var.name, (var.low, var.high))
         clone.add_variable(var.name, low=low, high=high,
                            objective=var.objective, integer=var.integer)
+    names = lp.variable_names()
     for con in lp.constraints:
-        coeffs = {lp.variables[idx].name: coef
-                  for idx, coef in con.coeffs.items()}
+        coeffs = {names[idx]: coef for idx, coef in con.coeffs.items()}
         clone.add_constraint(coeffs, con.sense, con.rhs, name=con.name)
     return clone
 

@@ -8,11 +8,14 @@ Rows are stored as one CSR matrix (``indptr``/``indices``/``data``
 arrays, column indices ascending within each row) with a sense and a
 right-hand side per row.  :meth:`LinearProgram.add_rows_csr` appends a
 whole block of rows in that form - the paper's slot-indexed LPs are
-built one constraint *family* at a time as arrays - and the per-row
-entry points (:meth:`~LinearProgram.add_constraint`,
-:meth:`~LinearProgram.add_constraint_indexed`) are one-row blocks of
-it.  Everything else is derived from the arrays on demand and cached
-against the model version: the ``(A_ub, b_ub, A_eq, b_eq)`` exports
+built one constraint *family* at a time as arrays.  The per-row entry
+points (:meth:`~LinearProgram.add_constraint`,
+:meth:`~LinearProgram.add_constraint_indexed`, the ``update_*`` edits)
+buffer their rows in plain lists instead, so a model built or edited
+row by row costs O(row) per row; appended blocks, buffered rows and
+replaced rows are folded into the CSR arrays once, when something next
+reads them.  Everything else is derived from the arrays on demand and
+cached against the model version: the ``(A_ub, b_ub, A_eq, b_eq)`` exports
 (:meth:`~LinearProgram.csr_export`, :meth:`~LinearProgram.sparse_rows`,
 :meth:`~LinearProgram.dense_rows`), the :class:`Constraint` view, and
 :meth:`~LinearProgram.content_key`.
@@ -145,16 +148,18 @@ class _Names:
 
     def add(self, names: Sequence[str], owner: str, kind: str) -> None:
         """Append checked names (raises on a duplicate)."""
-        self._materialize()
-        seen = set()
-        for name in names:
-            if name in self._index or name in seen:
+        if self._pending:
+            self._materialize()
+        index = self._index
+        start = len(self._list)
+        for offset, name in enumerate(names):
+            if name in index:
+                for added in names[:offset]:
+                    del index[added]
                 raise ConfigurationError(
                     f"{owner}: duplicate {kind} {name!r}")
-            seen.add(name)
-        start = len(self._list)
+            index[name] = start + offset
         self._list.extend(names)
-        self._index.update(zip(names, range(start, len(self._list))))
         self._size += len(names)
 
     def add_lazy(self, source: Callable[[], Sequence[str]],
@@ -164,11 +169,13 @@ class _Names:
         self._size += count
 
     def position(self, name: str) -> Optional[int]:
-        self._materialize()
+        if self._pending:
+            self._materialize()
         return self._index.get(name)
 
     def as_list(self) -> List[str]:
-        self._materialize()
+        if self._pending:
+            self._materialize()
         return self._list
 
 
@@ -225,10 +232,18 @@ class LinearProgram:
         self._highs: List[float] = []
         self._objs: List[float] = []
         self._ints: List[bool] = []
-        # Rows: one CSR matrix.
+        # Rows: one CSR matrix, plus the edits made since it was last
+        # assembled (see :meth:`_rows`) - appended row blocks, single
+        # rows buffered as Python lists, and replaced rows - so that
+        # building a model row by row costs O(row) per row.
         self._indptr = np.zeros(1, dtype=np.int32)
         self._indices = np.zeros(0, dtype=np.int32)
         self._data = np.zeros(0, dtype=float)
+        self._blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._row_counts: List[int] = []
+        self._row_cols: List[int] = []
+        self._row_vals: List[float] = []
+        self._replaced: Dict[int, Tuple[List[int], List[float]]] = {}
         self._senses: List[str] = []
         self._rhs: List[float] = []
         self._con_names = _Names()
@@ -249,6 +264,57 @@ class LinearProgram:
 
     def _touch(self) -> None:
         self._version += 1
+
+    def _seal_row_buffer(self) -> None:
+        """Move the buffered single rows into the block list."""
+        if self._row_counts:
+            self._blocks.append((np.array(self._row_counts, dtype=np.int64),
+                                 np.array(self._row_cols, dtype=np.int64),
+                                 np.array(self._row_vals, dtype=float)))
+            self._row_counts, self._row_cols, self._row_vals = [], [], []
+
+    def _rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows as one CSR matrix ``(indptr, indices, data)``.
+
+        Folds pending appends and row replacements in, once per batch
+        of edits.  The result is always a fresh set of arrays, never an
+        in-place edit, because cached exports share them.
+        """
+        self._seal_row_buffer()
+        if self._blocks:
+            counts = np.concatenate(
+                [np.diff(self._indptr)] + [b[0] for b in self._blocks])
+            indptr = np.zeros(counts.size + 1, dtype=np.int32)
+            np.cumsum(counts, out=indptr[1:])
+            self._indptr = indptr
+            self._indices = np.concatenate(
+                [self._indices] + [b[1] for b in self._blocks]
+            ).astype(np.int32, copy=False)
+            self._data = np.concatenate(
+                [self._data] + [b[2] for b in self._blocks])
+            self._blocks.clear()
+        if self._replaced:
+            indptr, indices, data = self._indptr, self._indices, self._data
+            counts = np.diff(indptr)
+            index_parts: List[Any] = []
+            data_parts: List[Any] = []
+            done = 0
+            for position in sorted(self._replaced):
+                cols, vals = self._replaced[position]
+                index_parts += [indices[done:indptr[position]], cols]
+                data_parts += [data[done:indptr[position]], vals]
+                done = indptr[position + 1]
+                counts[position] = len(cols)
+            index_parts.append(indices[done:])
+            data_parts.append(data[done:])
+            self._indptr = np.zeros(counts.size + 1, dtype=np.int32)
+            np.cumsum(counts, out=self._indptr[1:])
+            self._indices = np.concatenate(
+                [np.asarray(part, dtype=np.int32) for part in index_parts])
+            self._data = np.concatenate(
+                [np.asarray(part, dtype=float) for part in data_parts])
+            self._replaced.clear()
+        return self._indptr, self._indices, self._data
 
     def _cached(self, key: str, build: Callable[[], Any]) -> Any:
         entry = self._caches.get(key)
@@ -356,8 +422,11 @@ class LinearProgram:
             raise ConfigurationError(
                 f"{self.name}: bad sense {sense!r}, want one of {SENSES}")
         ptr = np.asarray(indptr, dtype=np.int64)
-        cols = np.asarray(indices, dtype=np.int64)
-        vals = np.asarray(data, dtype=float)
+        # Copies: the block is kept as given until the rows are next
+        # assembled, so later edits of the caller's arrays must not
+        # reach it.
+        cols = np.array(indices, dtype=np.int64)
+        vals = np.array(data, dtype=float)
         num_rows = ptr.size - 1
         rhs_arr = np.asarray(rhs, dtype=float)
         if rhs_arr.ndim == 0:
@@ -414,12 +483,8 @@ class LinearProgram:
                 raise ConfigurationError(
                     f"{self.name}: {len(names)} names for {num_rows} rows")
             self._con_names.add(names, self.name, "constraint")
-        self._indptr = np.concatenate(
-            (self._indptr, self._indptr[-1] + np.cumsum(counts,
-                                                        dtype=np.int32)))
-        self._indices = np.concatenate((self._indices,
-                                        cols.astype(np.int32)))
-        self._data = np.concatenate((self._data, vals))
+        self._seal_row_buffer()
+        self._blocks.append((counts, cols, vals))
         self._senses.extend([sense] * num_rows)
         self._rhs.extend(rhs_arr.tolist())
         self._touch()
@@ -472,12 +537,50 @@ class LinearProgram:
         cols, vals = self._row_from_mapping(coeffs, by_name=False)
         return self._add_one_row(cols, vals, sense, rhs, name)
 
+    def _clean_row(self, cols: List[int], vals: List[float]
+                   ) -> Tuple[List[int], List[float]]:
+        """One row's entries, checked, zero-dropped and column-sorted.
+
+        The single-row form of :meth:`add_rows_csr`'s checks, in plain
+        Python: a row is too short for numpy to pay off.
+        """
+        n = len(self._lows)
+        if cols and (min(cols) < 0 or max(cols) >= n):
+            bad = min(cols) if min(cols) < 0 else max(cols)
+            raise ConfigurationError(
+                f"{self.name}: column index {bad} out of range [0, {n})")
+        # Exact comparison on purpose: only *structural* zeros are
+        # dropped (see add_rows_csr).
+        row = sorted((col, val) for col, val in zip(cols, vals)
+                     if val != 0.0)  # repro: noqa NUM001 -- structural zero-drop
+        if any(a[0] == b[0] for a, b in zip(row, row[1:])):
+            raise ConfigurationError(
+                f"{self.name}: repeated column index in a row")
+        return [col for col, _val in row], [val for _col, val in row]
+
     def _add_one_row(self, cols: List[int], vals: List[float], sense: str,
                      rhs: float, name: Optional[str]) -> Constraint:
-        position = self.add_rows_csr(
-            (0, len(cols)), cols, vals, sense, float(rhs),
-            names=None if name is None else (name,))
-        return self._constraint_at(position)
+        if sense not in SENSES:
+            raise ConfigurationError(
+                f"{self.name}: bad sense {sense!r}, want one of {SENSES}")
+        rhs = float(rhs)
+        cols, vals = self._clean_row(cols, vals)
+        if not cols and not _trivially_satisfied(sense, rhs):
+            raise ConfigurationError(
+                f"{self.name}: empty constraint row with sense {sense} "
+                f"rhs {rhs} is infeasible")
+        position = len(self._senses)
+        if name is None:
+            name = f"c{position}"
+        self._con_names.add((name,), self.name, "constraint")
+        self._row_counts.append(len(cols))
+        self._row_cols.extend(cols)
+        self._row_vals.extend(vals)
+        self._senses.append(sense)
+        self._rhs.append(rhs)
+        self._touch()
+        return Constraint(name=name, coeffs=dict(zip(cols, vals)),
+                          sense=sense, rhs=rhs)
 
     # ------------------------------------------------------------------
     # Incremental (in-place) edits
@@ -489,30 +592,19 @@ class LinearProgram:
                 f"{self.name}: unknown constraint {name!r}")
         return position
 
-    def _replace_row(self, position: int, cols: Sequence[int],
-                     vals: Sequence[float], rhs: Optional[float]
+    def _replace_row(self, position: int, cols: List[int],
+                     vals: List[float], rhs: Optional[float]
                      ) -> Constraint:
         """Swap one row's entries (and optionally its rhs) in place."""
-        cols_arr = np.asarray(cols, dtype=np.int64)
-        vals_arr = np.asarray(vals, dtype=float)
-        keep = vals_arr != 0.0  # repro: noqa NUM001 -- structural zero-drop
-        order = np.argsort(cols_arr[keep], kind="stable")
-        cols_arr = cols_arr[keep][order]
-        vals_arr = vals_arr[keep][order]
-        lo, hi = int(self._indptr[position]), int(self._indptr[position + 1])
-        self._indices = np.concatenate(
-            (self._indices[:lo], cols_arr.astype(np.int32),
-             self._indices[hi:]))
-        self._data = np.concatenate(
-            (self._data[:lo], vals_arr, self._data[hi:]))
-        # A fresh array, not an in-place edit: cached exports share it.
-        shifted = self._indptr.copy()
-        shifted[position + 1:] += cols_arr.size - (hi - lo)
-        self._indptr = shifted
+        cols, vals = self._clean_row(cols, vals)
+        self._replaced[position] = (cols, vals)
         if rhs is not None:
             self._rhs[position] = float(rhs)
         self._touch()
-        return self._constraint_at(position)
+        return Constraint(name=self._con_names.as_list()[position],
+                          coeffs=dict(zip(cols, vals)),
+                          sense=self._senses[position],
+                          rhs=self._rhs[position])
 
     def update_constraint(self, name: str,
                           coeffs: Optional[Mapping[str, float]] = None,
@@ -550,11 +642,6 @@ class LinearProgram:
             ConfigurationError: unknown row or out-of-range indices.
         """
         position = self._row_position(name)
-        n = len(self._lows)
-        if coeffs and (min(coeffs) < 0 or max(coeffs) >= n):
-            bad = min(coeffs) if min(coeffs) < 0 else max(coeffs)
-            raise ConfigurationError(
-                f"{self.name}: column index {bad} out of range [0, {n})")
         cols, vals = self._row_from_mapping(coeffs, by_name=False)
         return self._replace_row(position, cols, vals, rhs)
 
@@ -613,20 +700,22 @@ class LinearProgram:
         return list(self._var_names.as_list())
 
     def _constraint_at(self, position: int) -> Constraint:
-        lo, hi = self._indptr[position], self._indptr[position + 1]
+        indptr, indices, data = self._rows()
+        lo, hi = indptr[position], indptr[position + 1]
         return Constraint(
             name=self._con_names.as_list()[position],
-            coeffs=dict(zip(self._indices[lo:hi].tolist(),
-                            self._data[lo:hi].tolist())),
+            coeffs=dict(zip(indices[lo:hi].tolist(),
+                            data[lo:hi].tolist())),
             sense=self._senses[position], rhs=self._rhs[position])
 
     @property
     def constraints(self) -> Tuple[Constraint, ...]:
         """All constraints, in insertion order (derived from the rows)."""
         def build() -> Tuple[Constraint, ...]:
-            bounds = self._indptr.tolist()
-            cols = self._indices.tolist()
-            vals = self._data.tolist()
+            indptr, indices, data = self._rows()
+            bounds = indptr.tolist()
+            cols = indices.tolist()
+            vals = data.tolist()
             return tuple(
                 Constraint(name=name,
                            coeffs=dict(zip(cols[lo:hi], vals[lo:hi])),
@@ -698,7 +787,7 @@ class LinearProgram:
         return self._cached("csr_export", self._build_csr_export)
 
     def _build_csr_export(self) -> Tuple[CsrRows, CsrRows]:
-        indptr, indices, data = self._indptr, self._indices, self._data
+        indptr, indices, data = self._rows()
         rhs = np.asarray(self._rhs, dtype=float)
         num_le = self._senses.count("<=")
         if num_le == len(self._senses):
@@ -733,9 +822,10 @@ class LinearProgram:
         ``>=`` rows are negated into ``<=`` form.  Empty matrices have
         shape ``(0, num_variables)``.
         """
+        indptr, indices, data = self._rows()
         dense = np.zeros((self.num_constraints, self.num_variables))
         dense[np.repeat(np.arange(self.num_constraints),
-                        np.diff(self._indptr)), self._indices] = self._data
+                        np.diff(indptr)), indices] = data
         senses = np.array(self._senses, dtype=object)
         rhs = np.asarray(self._rhs, dtype=float)
         ub = senses != "=="

@@ -6,11 +6,13 @@ both in milliseconds; the from-scratch simplex is kept for validation.
 
 LPs reach HiGHS through the binding scipy bundles,
 ``scipy.optimize._highspy._core`` (scipy >= 1.15), not through
-``scipy.optimize.linprog``.  :func:`solve_lp_scipy` hands the model's
-CSR rows to HiGHS as the column-wise arrays ``linprog(method="highs")``
-would build from them, under exactly the options ``linprog`` sets
-(presolve on, dual simplex, no debug checks, no output), and reads back
-only the primal column values.  ``linprog`` would also re-parse its
+``scipy.optimize.linprog``.  The binding is private, so
+``pyproject.toml`` caps scipy at the releases it was checked on.
+:func:`solve_lp_scipy` hands the model's CSR rows to HiGHS as the
+column-wise arrays ``linprog(method="highs")`` would build from them,
+under exactly the options ``linprog`` sets (presolve on, dual simplex,
+no debug checks, no output), and reads back only the primal column
+values.  ``linprog`` would also re-parse its
 inputs, stack and convert the matrices through ``scipy.sparse``,
 re-validate every option on every call and fill per-column bound
 marginals - on DynamicRR's ~180-column LPs that overhead cost more than

@@ -17,9 +17,16 @@ journal downstream - stay fixed.
   :class:`LpPtWorkspace` sequence that also takes the in-place
   fair-share row-update path (DynamicRR always passes ``|R_t|``, so its
   own runs never do).
+* ``SMALL_STATIONS_LP_SHA256`` / ``SMALL_STATIONS_CHAIN_SHA256``: the
+  plain LP and a scripted LP-PT workspace sequence on a network whose
+  capacities are drawn from 500-1200 MHz, so most stations are too
+  small for one 1000 MHz slot and, at 150 ms of waiting, some requests
+  have only such stations feasible.  Those requests get no columns and
+  no choice row.
 """
 
 import hashlib
+from dataclasses import replace
 
 from repro.core import dynamic_rr as dynamic_rr_mod
 from repro.core.dynamic_rr import DynamicRR
@@ -43,6 +50,16 @@ WORKSPACE_SCRIPT = ((12, 0.0, None), (12, 0.0, None), (12, 0.0, 30),
                     (10, 100.0, None), (12, 0.0, 7))
 WORKSPACE_MODES = ("rebuild", "reuse", "row_update", "row_update",
                    "row_update", "rebuild", "rebuild", "rebuild")
+
+SMALL_STATIONS_LP_SHA256 = (
+    "aac73d7a73cc51dc4a8a2f9f44c4b6d02e7e24a9a83068619320ed82e4c22a86")
+SMALL_STATIONS_CHAIN_SHA256 = (
+    "e7f1d7d0668f387b3352a618ff701ad4470fabeaefb9bb830e302de36921b5f0")
+#: (waiting ms, fair-share count) per scripted round.
+SMALL_STATIONS_SCRIPT = ((150.0, None), (150.0, 7), (100.0, None))
+SMALL_STATIONS_MODES = ("rebuild", "row_update", "rebuild")
+#: Rows of the plain LP and of each scripted LP-PT, per-row assembly.
+SMALL_STATIONS_ROWS = (50, (50, 50, 74))
 
 
 def fig3_lp_digest() -> str:
@@ -104,3 +121,45 @@ def test_workspace_sequence_is_unchanged():
     digest, modes = workspace_chain()
     assert modes == WORKSPACE_MODES
     assert digest == WORKSPACE_CHAIN_SHA256
+
+
+def small_stations_instance():
+    cfg = base_config(3)
+    cfg = replace(cfg, network=replace(
+        cfg.network, capacity_range_mhz=(500.0, 1200.0))).validate()
+    instance = ProblemInstance.build(cfg, seed=3)
+    return instance, instance.new_workload(num_requests=60, seed=3)
+
+
+def test_small_stations_lp_relaxation_is_unchanged():
+    instance, requests = small_stations_instance()
+    waiting = {r.request_id: 150.0 for r in requests}
+    lp, index = build_lp_relaxation(instance, requests, waiting)
+    no_columns = [rid for rid, (start, stop) in index.ranges.items()
+                  if start == stop]
+    assert any(instance.latency.feasible_stations(r, 150.0)
+               for r in requests if r.request_id in no_columns)
+    assert all(con.coeffs for con in lp.constraints)
+    assert {con.name for con in lp.constraints}.isdisjoint(
+        f"choice_{rid}" for rid in no_columns)
+    assert lp.num_constraints == SMALL_STATIONS_ROWS[0]
+    assert (hashlib.sha256(lp.content_key()).hexdigest()
+            == SMALL_STATIONS_LP_SHA256)
+
+
+def test_small_stations_workspace_sequence_is_unchanged():
+    instance, requests = small_stations_instance()
+    workspace = LpPtWorkspace()
+    chain = hashlib.sha256()
+    modes, rows = [], []
+    for waiting_ms, share in SMALL_STATIONS_SCRIPT:
+        waiting = {r.request_id: waiting_ms for r in requests}
+        lp, _index = build_lp_pt(instance, requests, waiting,
+                                 workspace=workspace,
+                                 fair_share_count=share)
+        chain.update(lp.content_key())
+        modes.append(workspace.last_mode)
+        rows.append(lp.num_constraints)
+    assert tuple(modes) == SMALL_STATIONS_MODES
+    assert tuple(rows) == SMALL_STATIONS_ROWS[1]
+    assert chain.hexdigest() == SMALL_STATIONS_CHAIN_SHA256

@@ -218,7 +218,7 @@ class TestUniformBounds:
 
 
 class TestCsrRows:
-    """The bulk CSR row entry that every other row path goes through."""
+    """The bulk CSR row entry, and the per-row paths it must agree with."""
 
     def base(self) -> LinearProgram:
         lp = LinearProgram(name="csr")
@@ -296,6 +296,54 @@ class TestCsrRows:
         assert after[0] == before[0] and after[2] == before[2]
         assert after[1].coeffs == {0: 5.0, 1: 1.0, 2: 2.0, 3: 1.0}
         assert after[1].sense == ">=" and after[1].rhs == 0.5
+
+    def test_interleaved_edits_match_one_block(self):
+        """Buffered rows, blocks and replacements fold in their order."""
+        lp = self.base()
+        lp.add_constraint_indexed({3: 1.0, 0: 2.0}, "<=", 1.0, name="r0")
+        lp.add_rows_csr([0, 1, 3], [1, 0, 2], [1.0, 4.0, 5.0], "<=",
+                        [2.0, 3.0], names=["r1", "r2"])
+        lp.update_constraint_indexed("r0", {1: 6.0})
+        assert lp.constraints[0].coeffs == {1: 6.0}
+        lp.add_constraint({"c": 7.0, "d": 0.0}, ">=", -1.0, name="r3")
+        lp.update_constraint_indexed("r3", {2: 8.0, 0: 9.0}, rhs=-2.0)
+        lp.update_constraint_indexed("r3", {3: 1.5})
+        lp.update_constraint("r1", rhs=2.5)
+        lp.add_constraint_indexed({2: 3.0}, "==", 1.0, name="r4")
+
+        ref = self.base()
+        ref.add_rows_csr([0, 1, 2, 4], [1, 1, 0, 2], [6.0, 1.0, 4.0, 5.0],
+                         "<=", [1.0, 2.5, 3.0], names=["r0", "r1", "r2"])
+        ref.add_rows_csr([0, 1], [3], [1.5], ">=", -2.0, names=["r3"])
+        ref.add_rows_csr([0, 1], [2], [3.0], "==", 1.0, names=["r4"])
+        assert lp.constraints == ref.constraints
+        assert lp.content_key() == ref.content_key()
+
+    def test_returned_row_is_the_stored_row(self):
+        lp = self.base()
+        added = lp.add_constraint_indexed({2: 1.0, 0: 0.0, 1: 2.0}, "<=",
+                                          3.0, name="r")
+        updated = lp.update_constraint("r", {"d": 4.0, "a": 5.0})
+        assert list(added.coeffs.items()) == [(1, 2.0), (2, 1.0)]
+        assert list(updated.coeffs.items()) == [(0, 5.0), (3, 4.0)]
+        assert lp.constraints == (updated,)
+
+    def test_rejected_name_leaves_the_model_intact(self):
+        lp = self.base()
+        lp.add_constraint_indexed({0: 1.0}, "<=", 1.0, name="r0")
+        with pytest.raises(ConfigurationError):
+            lp.add_rows_csr([0, 1, 2], [1, 2], [1.0, 1.0], "<=", 1.0,
+                            names=["fresh", "r0"])
+        lp.add_constraint_indexed({1: 1.0}, "<=", 1.0, name="fresh")
+        assert [c.name for c in lp.constraints] == ["r0", "fresh"]
+
+    def test_block_is_copied_from_the_caller(self):
+        lp = self.base()
+        indices = np.array([0, 2])
+        data = np.array([1.0, 2.0])
+        lp.add_rows_csr([0, 2], indices, data, "<=", 1.0)
+        indices[0], data[0] = 1, 9.0
+        assert lp.constraints[0].coeffs == {0: 1.0, 2: 2.0}
 
 
 class TestColumnValues:
