@@ -15,7 +15,6 @@ NUM001     no float ``==``/``!=`` on reward/capacity/rate expressions
 UNIT001    ``*_mhz``/``*_mbps`` only mix via ``repro.units``
 PKL001     no lambdas/closures/local classes in RunSpec/Event payloads
 EVT001     every EventKind has a timeline glyph and an audit check
-MET001     every audited EventKind increments a registered metric
 DET010     no wall-clock/entropy *value* reaching a serialization
            sink through any call chain (whole-program taint)
 CONC001    no module-level global written from worker-reachable code
@@ -37,7 +36,6 @@ from __future__ import annotations
 from . import determinism as _determinism  # noqa: F401
 from . import events_rule as _events_rule  # noqa: F401
 from . import interprocedural as _interprocedural  # noqa: F401
-from . import metrics_rule as _metrics_rule  # noqa: F401
 from . import numerics as _numerics  # noqa: F401
 from . import pickles as _pickles  # noqa: F401
 from .baseline import (apply_baseline, load_baseline,

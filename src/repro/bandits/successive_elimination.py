@@ -22,7 +22,6 @@ from typing import List
 import numpy as np
 
 from ..exceptions import BanditError, ConfigurationError
-from ..telemetry import get_tracer
 
 
 class SuccessiveElimination:
@@ -165,8 +164,6 @@ class SuccessiveElimination:
             # safe: keep the best empirical arm.
             survivors = [self.best_active_arm()]
         eliminated = set(active) - set(survivors)
-        if eliminated:
-            get_tracer().count("arm_eliminations", len(eliminated))
         for arm in eliminated:
             self._active[arm] = False
 

@@ -27,7 +27,7 @@ from ..core.instance import ProblemInstance
 from ..network.capacity import CapacityLedger
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
-from ..telemetry import get_tracer
+from ..telemetry import count_work
 from .base import OnlineBaselinePolicy, expected_feasible_stations
 
 #: Round-trip-plus-processing latency of the remote cloud path (ms).
@@ -110,7 +110,7 @@ class HeuKktOffline:
     def _serve_from_cloud(request: ARRequest, result: ScheduleResult,
                           rng) -> None:
         """The removed-capacity share: served remotely, reward lost."""
-        get_tracer().count("cloud_served")
+        count_work("cloud_served")
         request.realize(rng)
         result.add(OffloadDecision(
             request_id=request.request_id,

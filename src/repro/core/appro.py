@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
 from ..solver.interface import solve_lp
-from ..telemetry import get_tracer
+from ..telemetry import count_work, get_tracer
 from .assignment import OffloadDecision, ScheduleResult
 from .instance import ProblemInstance
 from .lp_relaxation import build_lp_relaxation
@@ -104,8 +104,7 @@ class Appro:
                     instance, remaining, assignments, ledger, rng=rng)
             admitted_ids = {o.request.request_id for o in round_outcomes
                             if o.admitted}
-            tracer.count("rounding_rounds")
-            tracer.count("requests_admitted", len(admitted_ids))
+            count_work("rounding_rounds")
             outcomes.extend(o for o in round_outcomes if o.admitted)
             remaining = [r for r in remaining
                          if r.request_id not in admitted_ids]

@@ -35,8 +35,8 @@ from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
 from ..sim.events import Event, EventKind
 from ..solver.interface import WarmStartState, solve_lp
-from ..telemetry import get_tracer
-from ..telemetry.audit import get_journal
+from ..telemetry import count_work, get_tracer
+from ..telemetry.audit import emit, listening
 from ..telemetry.metrics import get_metrics
 from .lp_relaxation import LpPtWorkspace, build_lp_pt
 from .rounding import DEFAULT_ROUNDING_SCALE, admit_slot_by_slot, \
@@ -144,13 +144,9 @@ class DynamicRR:
             self._selected_this_slot = True
             self._last_arm_value = threshold
             tracer.observe("threshold_mhz", threshold)
-            metrics = get_metrics()
-            if metrics.enabled:
-                metrics.inc("bandit_rounds_total")
-                metrics.set_gauge("bandit_threshold_mhz", threshold)
-            journal = get_journal()
-            if journal.enabled:
-                journal.record(Event(
+            get_metrics().set_gauge("bandit_threshold_mhz", threshold)
+            if listening():
+                emit(Event(
                     slot=slot, kind=EventKind.ARM_SELECTED,
                     arm=self._bandit.grid.nearest_arm(threshold),
                     value=threshold))
@@ -191,7 +187,7 @@ class DynamicRR:
                                               assignments, ledger,
                                               rng=self._rng,
                                               reserve_cap_mhz=threshold)
-            tracer.count("rounding_rounds")
+            count_work("rounding_rounds")
             admitted_ids = set()
             for outcome in outcomes:
                 if outcome.admitted:
@@ -217,20 +213,13 @@ class DynamicRR:
         if not self._selected_this_slot or self._bandit is None:
             return
         normalized = min(1.0, max(0.0, slot_reward / self._reward_scale))
-        journal = get_journal()
         metrics = get_metrics()
         active_arms = getattr(self._bandit.policy, "active_arms", None)
         before = (set(active_arms())
-                  if (journal.enabled or metrics.enabled)
-                  and active_arms is not None else None)
+                  if listening() and active_arms is not None else None)
         self._bandit.record(normalized)
         if before is not None:
-            after = set(active_arms())
-            eliminated = len(before) - len(after)
-            if eliminated and metrics.enabled:
-                metrics.inc("bandit_arms_eliminated_total", eliminated)
-            if journal.enabled:
-                self._journal_eliminations(slot, before, after, journal)
+            self._emit_eliminations(slot, before, set(active_arms()))
         arm = self._bandit.grid.nearest_arm(self._last_arm_value)
         self.tracker.record(arm, normalized)
         self._cumulative_reward += slot_reward
@@ -255,9 +244,9 @@ class DynamicRR:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _journal_eliminations(self, slot: int, before: set, after: set,
-                              journal) -> None:
-        """Journal arms this round's record() eliminated.
+    def _emit_eliminations(self, slot: int, before: set,
+                           after: set) -> None:
+        """Emit the arms this round's record() eliminated.
 
         The justification payload is the pair the elimination rule
         compared - the arm's UCB and the best LCB over the arms active
@@ -274,7 +263,7 @@ class DynamicRR:
         for arm in eliminated:
             detail = ((policy.ucb(arm), best_lcb)
                       if has_bounds else None)
-            journal.record(Event(
+            emit(Event(
                 slot=slot, kind=EventKind.ARM_ELIMINATED, arm=arm,
                 value=self._bandit.grid.value(arm), detail=detail))
 

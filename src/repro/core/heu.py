@@ -23,9 +23,8 @@ from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
 from ..sim.events import Event, EventKind
 from ..solver.interface import solve_lp
-from ..telemetry import get_tracer
-from ..telemetry.audit import get_journal
-from ..telemetry.metrics import get_metrics
+from ..telemetry import count_work, get_tracer
+from ..telemetry.audit import emit, listening
 from .assignment import OffloadDecision, ScheduleResult
 from .instance import ProblemInstance
 from .lp_relaxation import build_lp_relaxation
@@ -120,7 +119,7 @@ class Heu:
                 round_outcomes = admit_slot_by_slot(
                     instance, remaining, assignments, ledger, rng=rng,
                     on_reject=on_reject)
-            tracer.count("rounding_rounds")
+            count_work("rounding_rounds")
             admitted_ids = set()
             for outcome in round_outcomes:
                 if outcome.admitted:
@@ -169,7 +168,6 @@ class Heu:
                         key=lambda r: (-r.realized_rate_mbps,
                                        r.request_id))
         targets = instance.paths.stations_by_delay(station_id)
-        journal = get_journal()
         for donor in donors:
             pipeline = donor.pipeline
             existing = migrations.get(donor.request_id, {})
@@ -208,10 +206,8 @@ class Heu:
                                share)
                 migrations[donor.request_id] = trial
                 self.last_num_migrations += 1
-                get_tracer().count("migrations")
-                get_metrics().inc("migrations_total")
-                if journal.enabled:
-                    journal.record(Event(
+                if listening():
+                    emit(Event(
                         slot=slot, kind=EventKind.MIGRATE,
                         request_id=donor.request_id,
                         station_id=target,

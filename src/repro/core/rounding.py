@@ -25,8 +25,7 @@ from ..network.capacity import CapacityLedger
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
 from ..sim.events import Event, EventKind
-from ..telemetry.audit import get_journal
-from ..telemetry.metrics import get_metrics
+from ..telemetry.audit import emit, listening
 from .assignment import SlotAssignment
 from .instance import ProblemInstance
 from .lp_relaxation import LpIndex
@@ -154,71 +153,74 @@ def admit_slot_by_slot(instance: ProblemInstance,
         One outcome per tentative assignment, in admission order.
     """
     rng = ensure_rng(rng)
-    journal = get_journal()
+    emitting = listening()
     request_by_id = {r.request_id: r for r in requests}
     by_station_slot: Dict[tuple, List[SlotAssignment]] = {}
     for assignment in assignments:
         key = (assignment.station_id, assignment.slot)
         by_station_slot.setdefault(key, []).append(assignment)
 
-    outcomes: List[AdmissionOutcome] = []
+    # Visit only the occupied (station, slot) cells, in slot order and
+    # then network order - the order of a full slot x station sweep.
     max_slots = instance.max_num_slots()
-    station_ids = instance.network.station_ids
-    for slot in range(max_slots):
-        for station_id in station_ids:
-            candidates = by_station_slot.get((station_id, slot), [])
-            candidates.sort(key=lambda a: (
-                request_by_id[a.request_id].expected_rate_mbps,
-                a.request_id))
-            for assignment in candidates:
-                request = request_by_id[assignment.request_id]
-                outcome = AdmissionOutcome(request=request,
-                                           assignment=assignment)
-                outcomes.append(outcome)
+    position = {sid: i
+                for i, sid in enumerate(instance.network.station_ids)}
+    cells = sorted((key for key in by_station_slot
+                    if key[0] in position and 0 <= key[1] < max_slots),
+                   key=lambda key: (key[1], position[key[0]]))
+    outcomes: List[AdmissionOutcome] = []
+    for station_id, slot in cells:
+        candidates = by_station_slot[(station_id, slot)]
+        candidates.sort(key=lambda a: (
+            request_by_id[a.request_id].expected_rate_mbps,
+            a.request_id))
+        for assignment in candidates:
+            request = request_by_id[assignment.request_id]
+            outcome = AdmissionOutcome(request=request,
+                                       assignment=assignment)
+            outcomes.append(outcome)
+            open_now = ledger.prefix_open(station_id, slot)
+            # Algorithm 2 lines 11-14: migrate one task per attempt
+            # until the slot opens or no donor can help ("if there
+            # is no such preassigned request ..., reject").  The
+            # attempt cap guards against a handler that reports
+            # progress without making any.
+            attempts = 0
+            while (not open_now and on_reject is not None
+                   and attempts < 10):
+                if not on_reject(request, station_id, slot, ledger):
+                    break
+                attempts += 1
                 open_now = ledger.prefix_open(station_id, slot)
-                # Algorithm 2 lines 11-14: migrate one task per attempt
-                # until the slot opens or no donor can help ("if there
-                # is no such preassigned request ..., reject").  The
-                # attempt cap guards against a handler that reports
-                # progress without making any.
-                attempts = 0
-                while (not open_now and on_reject is not None
-                       and attempts < 10):
-                    if not on_reject(request, station_id, slot, ledger):
-                        break
-                    attempts += 1
-                    open_now = ledger.prefix_open(station_id, slot)
-                if not open_now:
-                    get_metrics().inc("rounding_rejects_total")
-                    if journal.enabled:
-                        journal.record(Event(
-                            slot=slot, kind=EventKind.REJECT_ROUNDING,
-                            request_id=request.request_id,
-                            station_id=station_id))
-                    continue
-                rate, reward = request.realize(rng)
-                demand = request.demand_of_rate_mhz(rate)
-                free = ledger.free_mhz(station_id)
-                reserved = min(demand, free)
-                if reserve_cap_mhz is not None:
-                    reserved = min(reserved, reserve_cap_mhz)
-                if reserved > 0:
-                    ledger.reserve(request.request_id, station_id, reserved)
-                outcome.admitted = True
-                outcome.reserved_mhz = reserved
-                get_metrics().inc("rounding_admits_total")
-                if demand <= free + 1e-9:
-                    outcome.reward = reward
-                if journal.enabled:
-                    # Guaranteed-share admissions (the online RR
-                    # setting) are elastic; batch admissions commit the
-                    # reservation - the monitor accumulates only the
-                    # latter against capacity.
-                    committed = reserve_cap_mhz is None
-                    journal.record(Event(
-                        slot=slot, kind=EventKind.ADMIT,
+            if not open_now:
+                if emitting:
+                    emit(Event(
+                        slot=slot, kind=EventKind.REJECT_ROUNDING,
                         request_id=request.request_id,
-                        station_id=station_id, reward=outcome.reward,
-                        reserved_mhz=reserved if committed else None,
-                        share_mhz=None if committed else reserved))
+                        station_id=station_id))
+                continue
+            rate, reward = request.realize(rng)
+            demand = request.demand_of_rate_mhz(rate)
+            free = ledger.free_mhz(station_id)
+            reserved = min(demand, free)
+            if reserve_cap_mhz is not None:
+                reserved = min(reserved, reserve_cap_mhz)
+            if reserved > 0:
+                ledger.reserve(request.request_id, station_id, reserved)
+            outcome.admitted = True
+            outcome.reserved_mhz = reserved
+            if demand <= free + 1e-9:
+                outcome.reward = reward
+            if emitting:
+                # Guaranteed-share admissions (the online RR
+                # setting) are elastic; batch admissions commit the
+                # reservation - the monitor accumulates only the
+                # latter against capacity.
+                committed = reserve_cap_mhz is None
+                emit(Event(
+                    slot=slot, kind=EventKind.ADMIT,
+                    request_id=request.request_id,
+                    station_id=station_id, reward=outcome.reward,
+                    reserved_mhz=reserved if committed else None,
+                    share_mhz=None if committed else reserved))
     return outcomes

@@ -158,17 +158,18 @@ def execute_run(spec: RunSpec) -> RunRecord:
     Rebuilds everything from ``(config, seed)`` so the call is
     deterministic regardless of which process runs it or what ran
     before it.  With ``spec.trace`` the run executes under a fresh
-    :class:`~repro.telemetry.Tracer` (installed only for its
-    duration) and the record carries the trace events; with
+    :class:`~repro.telemetry.Tracer` and a fresh
+    :class:`~repro.telemetry.metrics.MetricsRegistry` (installed only
+    for its duration) and the record carries the trace events, the
+    registry's counters among them; with
     ``spec.journal`` it likewise executes under a fresh decision
     :class:`~repro.telemetry.audit.Journal` and carries the audit
     events home.
 
     With ``spec.profile`` the run additionally executes under a fresh
-    tracer (shared with ``trace``), a fresh
-    :class:`~repro.telemetry.metrics.MetricsRegistry` (so solver
-    counters like ``simplex_iterations_total{phase}`` attribute to the
-    run), and ``cProfile``; the record carries a
+    tracer and registry (shared with ``trace``, so solver counters like
+    ``simplex_iterations_total{phase}`` attribute to the run), and
+    ``cProfile``; the record carries a
     :class:`~repro.telemetry.profiling.ProfileDigest` plus picklable
     cProfile stats.  ``spec.profile_mem`` captures ``tracemalloc`` top
     allocation sites.  All of it is observation only: the metrics,
@@ -181,7 +182,7 @@ def execute_run(spec: RunSpec) -> RunRecord:
         return _execute_untraced(spec)
     tracer = Tracer() if (spec.trace or spec.profile) else None
     journal = Journal() if spec.journal else None
-    registry = MetricsRegistry() if spec.profile else None
+    registry = MetricsRegistry() if tracer is not None else None
     profiler = cProfile.Profile() if spec.profile else None
     memory_rows: Optional[List[Dict[str, object]]] = None
     with ExitStack() as stack:
@@ -209,9 +210,9 @@ def execute_run(spec: RunSpec) -> RunRecord:
                     tracemalloc.take_snapshot())
             if own_tracemalloc:
                 tracemalloc.stop()
-    if spec.trace and tracer is not None:
-        record = dataclasses.replace(record,
-                                     trace=tuple(tracer.events()))
+    if spec.trace and tracer is not None and registry is not None:
+        record = dataclasses.replace(record, trace=tuple(
+            tracer.events(counters=registry.counter_events())))
     if journal is not None:
         record = dataclasses.replace(record,
                                      journal=tuple(journal.events()))

@@ -42,7 +42,7 @@ from ..requests.generator import RequestGenerator
 from ..rng import RngForks
 from ..sim.events import Event, EventKind
 from ..sim.online_engine import OnlineEngine, SlotOutcome
-from ..telemetry.audit import Journal, use_journal
+from ..telemetry.audit import Journal, emit, listening, use_journal
 from ..telemetry.metrics import (MetricsRegistry, StreamingHistogram,
                                  get_metrics, use_metrics)
 from .checkpoint import (JournalCursor, ServiceCheckpoint,
@@ -317,10 +317,10 @@ class AdmissionService:
         self._stream.restore_state(checkpoint.stream_state)
         self.counters.update(checkpoint.counters)
         self._metrics.restore_state(checkpoint.metrics_state)
-        self._metrics.inc("service_resumes_total")
         self.last_checkpoint_slot = checkpoint.slot
-        self._ops_record(Event(slot=checkpoint.slot,
-                               kind=EventKind.RESUME))
+        resume = Event(slot=checkpoint.slot, kind=EventKind.RESUME)
+        self._metrics.absorb(resume)
+        self._ops_record(resume)
 
     # ------------------------------------------------------------------
     # The slot loop
@@ -344,21 +344,17 @@ class AdmissionService:
         slot, batch = self._stream.next_batch()
         self._engine.clock.advance_to(slot)
         metrics.advance_slot(slot)
-        with use_journal(self._journal) as journal, \
-                use_metrics(metrics):
+        with use_journal(self._journal), use_metrics(metrics):
+            emitting = listening()
             room = max(0, self.config.queue_limit
                        - self._engine.pending_count())
             accepted = list(batch[:room])
             shed = list(batch[room:])
-            if shed:
-                metrics.inc("service_shed_total", len(shed))
-                if journal.enabled:
-                    depth = float(self._engine.pending_count()
-                                  + len(accepted))
-                    for request in shed:
-                        journal.record(Event(
-                            slot=slot, kind=EventKind.SHED,
-                            request_id=request.request_id, value=depth))
+            if shed and emitting:
+                depth = float(self._engine.pending_count() + len(accepted))
+                for request in shed:
+                    emit(Event(slot=slot, kind=EventKind.SHED,
+                               request_id=request.request_id, value=depth))
             outcome = self._engine.step(self._policy, slot, accepted)
             deferred = 0
             if accepted:
@@ -367,14 +363,12 @@ class AdmissionService:
                 for request in accepted:
                     if request.request_id in still_pending:
                         deferred += 1
-                        if journal.enabled:
-                            journal.record(Event(
+                        if emitting:
+                            emit(Event(
                                 slot=slot,
                                 kind=EventKind.ADMIT_DEFERRED,
                                 request_id=request.request_id,
                                 value=float(outcome.pending_after)))
-            if deferred:
-                metrics.inc("service_deferred_total", deferred)
             # Account before checkpointing so the checkpoint's
             # counters include the slot it closes.
             self._account(outcome, len(shed), deferred)
@@ -386,7 +380,7 @@ class AdmissionService:
                                   float(outcome.active_after))
                 metrics.observe("service_batch_size",
                                 float(len(batch)), slot=slot)
-            checkpointed = self._maybe_checkpoint(slot, journal)
+            checkpointed = self._maybe_checkpoint(slot)
             self._maybe_snapshot_metrics(slot)
         tick_seconds = time.perf_counter() - began  # repro: noqa DET001 -- advisory runtime metric
         self.slot_latency.observe(tick_seconds, slot)
@@ -458,12 +452,15 @@ class AdmissionService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _maybe_checkpoint(self, slot: int, journal) -> bool:
+    def _maybe_checkpoint(self, slot: int) -> bool:
         every = self.config.checkpoint_every
         if every is None or (slot + 1) % every != 0:
             return False
-        if journal.enabled:
-            journal.record(Event(slot=slot, kind=EventKind.CHECKPOINT))
+        # Emitted before the registry is exported, so the checkpoint
+        # includes its own count and a resumed series continues
+        # exactly (no off-by-one against an uninterrupted run).
+        if listening():
+            emit(Event(slot=slot, kind=EventKind.CHECKPOINT))
         cursor = JournalCursor()
         if self._journal is not None:
             cursor = JournalCursor(
@@ -472,10 +469,6 @@ class AdmissionService:
         policy_state = None
         if hasattr(self._policy, "export_state"):
             policy_state = self._policy.export_state()
-        # Count the checkpoint *before* exporting the registry, so the
-        # checkpoint includes its own write and a resumed series
-        # continues exactly (no off-by-one against an uninterrupted run).
-        self._metrics.inc("service_checkpoints_total")
         checkpoint = ServiceCheckpoint(
             config=self.config,
             slot=slot,

@@ -9,16 +9,19 @@ narrate a simulation, and the decision journal
 can be diffed event by event (``python -m repro.experiments
 trace-diff``).
 
-Two overlapping streams exist:
+Events reach two places:
 
 * ``OnlineEngine.events`` - the engine's in-memory event list, holding
   the original lifecycle kinds (ARRIVAL/START/PREEMPT_WAIT/COMPLETE/
   DROP) exactly as before;
-* the **decision journal** (:func:`repro.telemetry.audit.get_journal`)
-  - a superset stream that also carries algorithm-level decisions
-  (MIGRATE, REJECT_ROUNDING, ADMIT, ARM_SELECTED, ARM_ELIMINATED) and
-  station availability transitions (STATION_DOWN/STATION_UP), in
-  canonical, wall-clock-free form.
+* :func:`repro.telemetry.audit.emit` - the one fan-out of a decision:
+  it records the event in the **decision journal**, a superset stream
+  that also carries algorithm-level decisions (MIGRATE,
+  REJECT_ROUNDING, ADMIT, ARM_SELECTED, ARM_ELIMINATED) and station
+  availability transitions (STATION_DOWN/STATION_UP) in canonical,
+  wall-clock-free form, and folds it into the current metrics
+  registry's counter for its kind.  Decision counters are derived from
+  these events, never counted beside them.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ from ..exceptions import ConfigurationError, SchedulingError
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
 from ..telemetry import get_tracer
-from ..telemetry.audit import get_journal
+from ..telemetry.audit import emit, get_journal, listening
 from ..telemetry.metrics import get_metrics
 from .clock import SlotClock
 from .events import Event, EventKind
@@ -283,14 +283,10 @@ class OnlineEngine:
         return result
 
     def announce_stations(self) -> None:
-        """Journal the initial STATION_UP capacity announcements."""
-        journal = get_journal()
-        get_metrics().inc("station_transitions_total",
-                          len(self.instance.network.station_ids),
-                          direction="up")
-        if journal.enabled:
+        """Emit the initial STATION_UP capacity announcements."""
+        if listening():
             for sid in self.instance.network.station_ids:
-                journal.record(Event(
+                emit(Event(
                     slot=0, kind=EventKind.STATION_UP, station_id=sid,
                     value=self.instance.network.station(sid).capacity_mhz))
 
@@ -315,9 +311,10 @@ class OnlineEngine:
             The slot's :class:`SlotOutcome`.
         """
         tracer = get_tracer()
-        journal = get_journal()
-        if journal.enabled:
-            self._journal_outage_transitions(t, journal)
+        # Outage edges are emitted only into a journal, as they always
+        # were: a registry-only run does not count them.
+        if get_journal().enabled:
+            self._journal_outage_transitions(t)
         with tracer.span("slot_admission", policy=policy.name):
             self._admit_arrivals(t, arrivals)
             dropped = self._drop_hopeless(t)
@@ -327,18 +324,8 @@ class OnlineEngine:
             slot_reward = self._settle_started(t, started)
             completed = self._complete(t)
             policy.observe(t, slot_reward)
-        if started:
-            tracer.count("requests_started", len(started))
         metrics = get_metrics()
         if metrics.enabled:
-            if arrivals:
-                metrics.inc("engine_arrivals_total", len(arrivals))
-            if dropped:
-                metrics.inc("engine_drops_total", dropped)
-            if started:
-                metrics.inc("engine_starts_total", len(started))
-            if completed:
-                metrics.inc("engine_completions_total", completed)
             metrics.inc("engine_reward_total", slot_reward)
             metrics.set_gauge("engine_pending", float(len(self._pending)))
             metrics.set_gauge("engine_active", float(len(self._active)))
@@ -356,7 +343,7 @@ class OnlineEngine:
     # ------------------------------------------------------------------
     # Slot phases
     # ------------------------------------------------------------------
-    def _journal_outage_transitions(self, t: int, journal) -> None:
+    def _journal_outage_transitions(self, t: int) -> None:
         """Announce injected outage edges (down at the window start,
         back up - with capacity - the slot after it ends)."""
         for sid in self.instance.network.station_ids:
@@ -364,31 +351,25 @@ class OnlineEngine:
             if window is None:
                 continue
             if t == window[0]:
-                get_metrics().inc("station_transitions_total",
-                                  direction="down")
-                journal.record(Event(slot=t,
-                                     kind=EventKind.STATION_DOWN,
-                                     station_id=sid))
+                emit(Event(slot=t, kind=EventKind.STATION_DOWN,
+                           station_id=sid))
             elif t == window[1] + 1:
-                get_metrics().inc("station_transitions_total",
-                                  direction="up")
-                journal.record(Event(
+                emit(Event(
                     slot=t, kind=EventKind.STATION_UP, station_id=sid,
                     value=self.instance.network.station(sid).capacity_mhz))
 
     def _admit_arrivals(self, t: int,
                         arrivals: Sequence[ARRequest]) -> None:
-        if arrivals:
-            get_tracer().count("arrivals", len(arrivals))
-        journal = get_journal()
+        emitting = listening()
         for request in arrivals:
             self._pending.append(request)
-            event = Event(slot=t, kind=EventKind.ARRIVAL,
-                          request_id=request.request_id)
-            if not self.streaming:
-                self.events.append(event)
-            if journal.enabled:
-                journal.record(event)
+            if emitting or not self.streaming:
+                event = Event(slot=t, kind=EventKind.ARRIVAL,
+                              request_id=request.request_id)
+                if not self.streaming:
+                    self.events.append(event)
+                if emitting:
+                    emit(event)
 
     def _drop_hopeless(self, t: int) -> int:
         """Drop pending requests that can no longer meet their deadline.
@@ -398,7 +379,7 @@ class OnlineEngine:
         """
         survivors: List[ARRequest] = []
         dropped = 0
-        journal = get_journal()
+        emitting = listening()
         for request in self._pending:
             best_case = (self.waiting_ms(request, t)
                          + self.min_placement_delay_ms(request))
@@ -407,18 +388,17 @@ class OnlineEngine:
                     self._decided[request.request_id] = OffloadDecision(
                         request_id=request.request_id, admitted=False,
                         waiting_ms=self.waiting_ms(request, t))
-                    self.events.append(Event(
-                        slot=t, kind=EventKind.DROP,
-                        request_id=request.request_id))
-                if journal.enabled:
-                    journal.record(Event(slot=t, kind=EventKind.DROP,
-                                         request_id=request.request_id))
+                if emitting or not self.streaming:
+                    event = Event(slot=t, kind=EventKind.DROP,
+                                  request_id=request.request_id)
+                    if not self.streaming:
+                        self.events.append(event)
+                    if emitting:
+                        emit(event)
                 self._min_delay_cache.pop(request.request_id, None)
                 dropped += 1
             else:
                 survivors.append(request)
-        if dropped:
-            get_tracer().count("deadline_drops", dropped)
         self._pending = survivors
         return dropped
 
@@ -470,8 +450,6 @@ class OnlineEngine:
         request is admitted with :data:`CLOUD_LATENCY_MS` experienced
         latency and earns no reward.
         """
-        get_tracer().count("cloud_served")
-        get_metrics().inc("engine_cloud_served_total")
         request.realize(self._rng)
         waiting = self.clock.waiting_ms(request.arrival_slot, t)
         latency = waiting + CLOUD_LATENCY_MS
@@ -492,12 +470,11 @@ class OnlineEngine:
             self.events.append(Event(slot=t, kind=EventKind.START,
                                      request_id=request.request_id,
                                      station_id=CLOUD_STATION))
-        journal = get_journal()
-        if journal.enabled:
-            journal.record(Event(slot=t, kind=EventKind.START,
-                                 request_id=request.request_id,
-                                 station_id=CLOUD_STATION,
-                                 reward=reward, latency_ms=latency))
+        if listening():
+            emit(Event(slot=t, kind=EventKind.START,
+                       request_id=request.request_id,
+                       station_id=CLOUD_STATION,
+                       reward=reward, latency_ms=latency))
 
     def _progress(self, t: int) -> None:
         counts: Dict[int, int] = {}
@@ -521,7 +498,7 @@ class OnlineEngine:
         earned iff ``D_j`` meets the deadline.
         """
         slot_reward = 0.0
-        journal = get_journal()
+        emitting = listening()
         for active in started:
             request = active.request
             latency = self._experienced_latency_ms(active)
@@ -546,8 +523,8 @@ class OnlineEngine:
                         request.arrival_slot, active.start_slot),
                     deadline_met=met,
                 )
-            if journal.enabled:
-                journal.record(Event(
+            if emitting:
+                emit(Event(
                     slot=t, kind=EventKind.START,
                     request_id=request.request_id,
                     station_id=active.station_id, reward=reward,
@@ -562,19 +539,18 @@ class OnlineEngine:
             The number of streams completed.
         """
         done = [a for a in self._active.values() if a.remaining_mb <= 1e-9]
-        if done:
-            get_tracer().count("completions", len(done))
-        journal = get_journal()
+        emitting = listening()
         for active in done:
-            event = Event(
-                slot=t, kind=EventKind.COMPLETE,
-                request_id=active.request.request_id,
-                station_id=active.station_id, reward=active.reward,
-                latency_ms=active.latency_ms)
-            if not self.streaming:
-                self.events.append(event)
-            if journal.enabled:
-                journal.record(event)
+            if emitting or not self.streaming:
+                event = Event(
+                    slot=t, kind=EventKind.COMPLETE,
+                    request_id=active.request.request_id,
+                    station_id=active.station_id, reward=active.reward,
+                    latency_ms=active.latency_ms)
+                if not self.streaming:
+                    self.events.append(event)
+                if emitting:
+                    emit(event)
             del self._active[active.request.request_id]
         return len(done)
 
@@ -605,15 +581,15 @@ class OnlineEngine:
         start-time decision; only never-started requests remain open.
         """
         t = self.clock.horizon_slots - 1
-        journal = get_journal()
+        emitting = listening()
         for request in self._pending:
             if not self.streaming:
                 self._decided[request.request_id] = OffloadDecision(
                     request_id=request.request_id, admitted=False,
                     waiting_ms=self.waiting_ms(request, t))
-            if journal.enabled:
-                journal.record(Event(slot=t, kind=EventKind.DROP,
-                                     request_id=request.request_id))
+            if emitting:
+                emit(Event(slot=t, kind=EventKind.DROP,
+                           request_id=request.request_id))
         for active in self._active.values():
             if active.latency_ms is None:
                 # Started on a station that died under it: the stream
@@ -624,8 +600,8 @@ class OnlineEngine:
                               station_id=active.station_id)
                 if not self.streaming:
                     self.events.append(event)
-                if journal.enabled:
-                    journal.record(event)
+                if emitting:
+                    emit(event)
         self._pending = []
         self._active = {}
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..exceptions import InfeasibleProblemError, SolverError
-from ..telemetry import get_tracer
+from ..telemetry import count_work
 from .model import LinearProgram
 
 #: An LP oracle: model -> (objective, values).  Must raise
@@ -106,11 +106,10 @@ def solve_with_branch_and_bound(
     incumbent_vals: Dict[str, float] = {}
     nodes_explored = 0
 
-    tracer = get_tracer()
     while heap:
         node = heapq.heappop(heap)
         nodes_explored += 1
-        tracer.count("bnb_nodes")
+        count_work("bnb_nodes")
         if nodes_explored > max_nodes:
             raise SolverError(
                 f"{lp.name}: branch-and-bound exceeded {max_nodes} nodes")

@@ -28,7 +28,7 @@ import math
 from typing import Callable, Dict, Tuple
 
 from ..exceptions import InfeasibleProblemError
-from ..telemetry import get_tracer
+from ..telemetry import count_work, get_tracer
 from .model import LinearProgram
 
 #: Maps a reduced solution back to a full-variable assignment.
@@ -143,10 +143,10 @@ def solve_with_presolve(lp: LinearProgram,
     tracer = get_tracer()
     with tracer.span("presolve"):
         reduced, recover, offset = presolve(lp)
-    tracer.count("presolve_removed_vars",
-                 lp.num_variables - reduced.num_variables)
-    tracer.count("presolve_removed_rows",
-                 len(lp.constraints) - len(reduced.constraints))
+    count_work("presolve_removed_vars",
+               lp.num_variables - reduced.num_variables)
+    count_work("presolve_removed_rows",
+               lp.num_constraints - reduced.num_constraints)
     if reduced.num_variables == 0:
         values = recover({})
         return lp.evaluate_objective(values), values

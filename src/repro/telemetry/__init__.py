@@ -58,7 +58,7 @@ from .ledger import (MANIFEST_SCHEMA, WALL_CLOCK_METRICS, RunManifest,
                      latest_by_name, load_manifests,
                      manifest_from_sweeps, peak_rss_kb, read_ledger,
                      write_bench)
-from .metrics import (EVENT_METRIC_MAP, NULL_REGISTRY, MetricsRegistry,
+from .metrics import (NULL_REGISTRY, MetricsRegistry,
                       NullRegistry, StreamingHistogram, get_metrics,
                       set_metrics, use_metrics)
 from .perfdiff import diff_profile_sets
@@ -75,8 +75,8 @@ from .regression import (DEFAULT_METRIC_TOL, DEFAULT_WALL_TOL, Delta,
                          DiffReport, diff_ledgers, diff_manifests)
 from .summary import (SpanStats, TraceSummary, render_summary,
                       summarize_events)
-from .tracer import (NULL_TRACER, NullTracer, Tracer, get_tracer,
-                     set_tracer, use_tracer)
+from .tracer import (NULL_TRACER, NullTracer, Tracer, count_work,
+                     get_tracer, set_tracer, use_tracer)
 
 __all__ = [
     "AuditOutcome",
@@ -89,7 +89,6 @@ __all__ = [
     "DEFAULT_WALL_TOL",
     "Delta",
     "DiffReport",
-    "EVENT_METRIC_MAP",
     "INVARIANTS",
     "InvariantMonitor",
     "Journal",
@@ -118,6 +117,7 @@ __all__ = [
     "collect_sweep_profiles",
     "collect_sweep_trace",
     "config_hash",
+    "count_work",
     "digest_from_events",
     "get_journal",
     "get_metrics",

@@ -16,6 +16,9 @@ first-class, journaled, checkable event:
 * :class:`NullJournal` is the zero-overhead default (mirroring
   :data:`~repro.telemetry.tracer.NULL_TRACER`): unjournaled runs pay
   one attribute lookup and a no-op call per emission point;
+* :func:`emit` is how instrumented code records a decision: one event,
+  journaled once and folded into the current metrics registry's
+  counters, so a decision is never counted beside its event;
 * :class:`InvariantMonitor` consumes the stream *during* the run
   (attach it to a journal) or post-hoc and checks ~10 invariants, in
   ``strict`` mode (raise :class:`~repro.exceptions.InvariantViolation`
@@ -39,11 +42,7 @@ from typing import (Any, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from ..exceptions import ConfigurationError, InvariantViolation
-
-#: Pseudo station id of the remote cloud path (mirrors
-#: ``repro.sim.online_engine.CLOUD_STATION`` without importing it -
-#: the cloud has unbounded capacity, so capacity/outage checks skip it).
-_CLOUD = -1
+from .metrics import _CLOUD, get_metrics
 
 
 class NullJournal:
@@ -263,6 +262,27 @@ def use_journal(journal: Optional[Journal]) -> Iterator[Any]:
         yield get_journal()
     finally:
         set_journal(previous)
+
+
+def listening() -> bool:
+    """True when :func:`emit` would reach a journal or a registry.
+
+    Emission sites test this (once per batch) before building an
+    event, so a run with neither allocates nothing.
+    """
+    return _current.enabled or get_metrics().enabled
+
+
+def emit(event) -> None:
+    """Record one decision: the single fan-out of every decision event.
+
+    The event goes to the current journal once and is folded into the
+    current metrics registry's counter for its kind
+    (:meth:`~repro.telemetry.metrics.MetricsRegistry.absorb`), so the
+    journal and the counters cannot drift apart.
+    """
+    _current.record(event)
+    get_metrics().absorb(event)
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,17 @@ helps an operator watching a **live, unbounded**
 series that can be scraped at any instant.  This module is that
 runtime:
 
-* **counters** - monotonic totals (``registry.inc("service_shed_total")``)
-  keyed by name + labels;
+* **counters** - monotonic totals keyed by name + labels.  A
+  decision's counter is never written beside its journal event: the
+  event is emitted once (:func:`repro.telemetry.audit.emit`) and
+  :meth:`MetricsRegistry.absorb` folds it in through
+  :data:`EVENT_COUNTERS`.  Only counts that no event carries are
+  written directly with ``registry.inc(...)``: solver work
+  (``lp_solves_total{mode}``), per-slot sums (``engine_reward_total``),
+  service tallies (``service_admitted_total``) and the work counters
+  of traced runs (``rounding_rounds``, ``bnb_nodes``, ...), which
+  :func:`repro.telemetry.tracer.count_work` adds only while a tracer
+  records, so a live service exposes its operator series alone;
 * **gauges** - last-write-wins instantaneous values
   (``registry.set_gauge("service_queue_depth", depth)``);
 * **histograms** - :class:`StreamingHistogram`: fixed log-scale
@@ -44,52 +53,71 @@ from __future__ import annotations
 
 import bisect
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Dict, Iterator, List, Mapping, Optional,
+                    Tuple, Union)
 
 from ..exceptions import ConfigurationError
 
-#: Label set in canonical (sorted tuple) form, as in the tracer.
+#: Label set in canonical (sorted tuple) form.
 LabelKey = Tuple[Tuple[str, Any], ...]
 
 #: Quantiles reported by every histogram snapshot (percent).
 SNAPSHOT_QUANTILES = (50.0, 95.0, 99.0)
 
-#: EventKind value -> metric names incremented when that decision
-#: happens.  This is the **MET001 coverage table**: the static-analysis
-#: rule requires every event kind the audit monitor models to map to at
-#: least one metric here, and every mapped metric name to appear at an
-#: instrumentation site - so metrics coverage cannot silently rot when
-#: the event vocabulary grows.  (``preempt_wait`` maps to the pending
-#: gauge: a preempted request is exactly one that stays in the queue.)
-EVENT_METRIC_MAP: Dict[str, Tuple[str, ...]] = {
-    "arrival": ("engine_arrivals_total",),
-    "start": ("engine_starts_total",),
-    "preempt_wait": ("engine_pending",),
-    "complete": ("engine_completions_total",),
-    "drop": ("engine_drops_total",),
-    "migrate": ("migrations_total",),
-    "reject_rounding": ("rounding_rejects_total",),
-    "admit": ("rounding_admits_total",),
-    "arm_selected": ("bandit_rounds_total",),
-    "arm_eliminated": ("bandit_arms_eliminated_total",),
-    "station_down": ("station_transitions_total",),
-    "station_up": ("station_transitions_total",),
-    "admit_deferred": ("service_deferred_total",),
-    "shed": ("service_shed_total",),
-    "checkpoint": ("service_checkpoints_total",),
-    "resume": ("service_resumes_total",),
-    "metrics_snapshot": ("service_metrics_snapshots_total",),
+#: Pseudo station id of the remote cloud path (mirrors
+#: ``repro.sim.online_engine.CLOUD_STATION`` without importing it -
+#: the cloud has unbounded capacity, so capacity/outage checks skip it).
+_CLOUD = -1
+
+#: The event fold behind :meth:`MetricsRegistry.absorb`, and the only
+#: place an event kind maps to a counter: EventKind value -> the
+#: counter series ``(name, label key)`` one such event adds 1 to, or
+#: None for a kind the fold deliberately does not count.  A START on
+#: the cloud path counts under ``engine_cloud_served_total`` instead.
+EVENT_COUNTERS: Dict[str, Optional[Tuple[str, LabelKey]]] = {
+    "arrival": ("engine_arrivals_total", ()),
+    "start": ("engine_starts_total", ()),
+    # Nothing emits it: a preempted request stays queued, which the
+    # engine_pending gauge already shows.
+    "preempt_wait": None,
+    "complete": ("engine_completions_total", ()),
+    "drop": ("engine_drops_total", ()),
+    "migrate": ("migrations_total", ()),
+    "reject_rounding": ("rounding_rejects_total", ()),
+    "admit": ("rounding_admits_total", ()),
+    "arm_selected": ("bandit_rounds_total", ()),
+    "arm_eliminated": ("bandit_arms_eliminated_total", ()),
+    "station_down": ("station_transitions_total",
+                     (("direction", "down"),)),
+    "station_up": ("station_transitions_total", (("direction", "up"),)),
+    "admit_deferred": ("service_deferred_total", ()),
+    "shed": ("service_shed_total", ()),
+    "checkpoint": ("service_checkpoints_total", ()),
+    "resume": ("service_resumes_total", ()),
+    # The snapshot event carries the registry, its own count included,
+    # so the service counts it directly before building the event.
+    "metrics_snapshot": None,
 }
 
+_CLOUD_SERVED: Tuple[str, LabelKey] = ("engine_cloud_served_total", ())
 
-def _label_key(labels: Dict[str, Any]) -> LabelKey:
+
+def label_key(labels: Mapping[str, Any]) -> LabelKey:
+    """A label mapping in canonical (key-sorted tuple) form."""
     return tuple(sorted(labels.items()))
 
 
-def _series_name(name: str, labels: LabelKey) -> str:
-    """Canonical flat series id: ``name{k="v",...}`` (sorted keys)."""
+def series_id(name: str,
+              labels: Union[Mapping[str, Any], LabelKey]) -> str:
+    """Canonical flat series id: ``name{k="v",...}``.
+
+    ``labels`` is a mapping (rendered in sorted key order) or a label
+    key, rendered in its own order.
+    """
     if not labels:
         return name
+    if isinstance(labels, Mapping):
+        labels = label_key(labels)
     body = ",".join(f'{key}="{value}"' for key, value in labels)
     return f"{name}{{{body}}}"
 
@@ -310,6 +338,9 @@ class NullRegistry:
     def inc(self, name: str, value: float = 1.0, **labels) -> None:
         """Discard a counter increment."""
 
+    def absorb(self, event) -> None:
+        """Discard an event."""
+
     def set_gauge(self, name: str, value: float, **labels) -> None:
         """Discard a gauge write."""
 
@@ -352,8 +383,8 @@ class NullRegistry:
 class MetricsRegistry:
     """Deterministic, flat-memory metric store for a live service.
 
-    All three families are keyed by ``(name, sorted labels)`` exactly
-    like the tracer's counters.  Histograms are created lazily on first
+    All three families are keyed by ``(name, sorted labels)``
+    (:func:`label_key`).  Histograms are created lazily on first
     :meth:`observe` with the registry's default geometry; call
     :meth:`register_histogram` first to customize one.
 
@@ -390,12 +421,24 @@ class MetricsRegistry:
 
     def inc(self, name: str, value: float = 1.0, **labels) -> None:
         """Add ``value`` to the monotonic counter ``name`` + labels."""
-        key = (name, _label_key(labels))
+        key = (name, label_key(labels))
         self._counters[key] = self._counters.get(key, 0.0) + float(value)
+
+    def absorb(self, event) -> None:
+        """Fold one decision event into its counter (see
+        :data:`EVENT_COUNTERS`)."""
+        kind = event.kind.value
+        if kind == "start" and event.station_id == _CLOUD:
+            key = _CLOUD_SERVED
+        else:
+            key = EVENT_COUNTERS[kind]
+            if key is None:
+                return
+        self._counters[key] = self._counters.get(key, 0.0) + 1.0
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
         """Set the instantaneous value of a gauge."""
-        self._gauges[(name, _label_key(labels))] = float(value)
+        self._gauges[(name, label_key(labels))] = float(value)
 
     def register_histogram(self, name: str, lowest: float = 1e-6,
                            growth: float = 2.0 ** 0.5,
@@ -403,7 +446,7 @@ class MetricsRegistry:
                            window_slots: Optional[int] = None,
                            **labels) -> StreamingHistogram:
         """Create (or return) a histogram with explicit geometry."""
-        key = (name, _label_key(labels))
+        key = (name, label_key(labels))
         existing = self._histograms.get(key)
         if existing is not None:
             return existing
@@ -417,7 +460,7 @@ class MetricsRegistry:
     def observe(self, name: str, value: float,
                 slot: Optional[int] = None, **labels) -> None:
         """Record one histogram observation (current slot by default)."""
-        key = (name, _label_key(labels))
+        key = (name, label_key(labels))
         hist = self._histograms.get(key)
         if hist is None:
             hist = self.register_histogram(name, **labels)
@@ -428,16 +471,23 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def counter(self, name: str, **labels) -> float:
         """Current value of one counter (0.0 when never incremented)."""
-        return self._counters.get((name, _label_key(labels)), 0.0)
+        return self._counters.get((name, label_key(labels)), 0.0)
 
     def gauge(self, name: str, **labels) -> Optional[float]:
         """Current value of one gauge (None when never set)."""
-        return self._gauges.get((name, _label_key(labels)))
+        return self._gauges.get((name, label_key(labels)))
 
     def histogram(self, name: str,
                   **labels) -> Optional[StreamingHistogram]:
         """One histogram (None when never observed)."""
-        return self._histograms.get((name, _label_key(labels)))
+        return self._histograms.get((name, label_key(labels)))
+
+    def counter_events(self) -> List[Dict[str, Any]]:
+        """The counters as trace events (``{"kind": "counter", ...}``),
+        sorted by name and labels."""
+        return [{"kind": "counter", "name": name, "labels": dict(labels),
+                 "value": self._counters[(name, labels)]}
+                for name, labels in sorted(self._counters)]
 
     def snapshot(self) -> Dict[str, Any]:
         """The whole registry as a canonical JSON-able dict.
@@ -446,14 +496,14 @@ class MetricsRegistry:
         sorted order, so two registries with the same contents snapshot
         to identical bytes.
         """
-        counters = {_series_name(name, labels): self._counters[key]
+        counters = {series_id(name, labels): self._counters[key]
                     for key in sorted(self._counters)
                     for name, labels in (key,)}
-        gauges = {_series_name(name, labels): self._gauges[key]
+        gauges = {series_id(name, labels): self._gauges[key]
                   for key in sorted(self._gauges)
                   for name, labels in (key,)}
         histograms = {
-            _series_name(name, labels): self._histograms[key].snapshot()
+            series_id(name, labels): self._histograms[key].snapshot()
             for key in sorted(self._histograms)
             for name, labels in (key,)}
         return {"slot": self.slot, "counters": counters,
@@ -477,12 +527,12 @@ class MetricsRegistry:
         for key in sorted(self._counters):
             name, labels = key
             type_line(name, "counter")
-            lines.append(f"{_series_name(name, labels)} "
+            lines.append(f"{series_id(name, labels)} "
                          f"{self._counters[key]:g}")
         for key in sorted(self._gauges):
             name, labels = key
             type_line(name, "gauge")
-            lines.append(f"{_series_name(name, labels)} "
+            lines.append(f"{series_id(name, labels)} "
                          f"{self._gauges[key]:g}")
         for key in sorted(self._histograms):
             name, labels = key
@@ -496,11 +546,11 @@ class MetricsRegistry:
                 le = "+Inf" if upper == float("inf") else f"{upper:g}"
                 bucket_labels = labels + (("le", le),)
                 lines.append(
-                    f"{_series_name(name + '_bucket', bucket_labels)} "
+                    f"{series_id(name + '_bucket', bucket_labels)} "
                     f"{cumulative}")
-            lines.append(f"{_series_name(name + '_sum', labels)} "
+            lines.append(f"{series_id(name + '_sum', labels)} "
                          f"{hist.sum:g}")
-            lines.append(f"{_series_name(name + '_count', labels)} "
+            lines.append(f"{series_id(name + '_count', labels)} "
                          f"{hist.count}")
         return "\n".join(lines) + ("\n" if lines else "")
 

@@ -50,6 +50,7 @@ from typing import (Any, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from ..exceptions import ConfigurationError
+from .metrics import series_id
 from .summary import RUN_KEY_FIELDS
 
 #: Schema identifier of one serialized digest.
@@ -64,33 +65,24 @@ PROFILE_SET_SCHEMA = "repro.profile-set/1"
 DIGEST_WALL_CLOCK_FIELDS = ("total_s", "self_s", "min_s", "max_s")
 
 #: Counter base name -> owning span leaf name.  ``perf-diff`` and the
-#: digest join use this to attribute domain counters to the span whose
-#: code increments them, so a report can say "simplex phase-2
+#: digest join use this to attribute registry counters to the span
+#: whose code increments them, so a report can say "simplex phase-2
 #: iterations +4.1x in lp_solve" instead of listing bare counters.
 COUNTER_OWNERS: Dict[str, str] = {
-    # tracer counters
     "lp_solves_total": "lp_solve",
     "simplex_iterations_total": "lp_solve",
     "bnb_nodes": "ilp_solve",
     "presolve_removed_vars": "presolve",
     "presolve_removed_rows": "presolve",
     "rounding_rounds": "rounding",
-    "requests_admitted": "rounding",
-    "migrations": "migration",
-    "arm_eliminations": "bandit_round",
-    "bandit_explore_steps": "bandit_round",
-    "bandit_exploit_steps": "bandit_round",
-    "arrivals": "slot_admission",
-    "requests_started": "slot_admission",
-    "deadline_drops": "slot_admission",
-    "completions": "slot_admission",
-    "cloud_served": "slot_admission",
-    # metrics-registry counters (same code paths, registry namespace)
     "rounding_admits_total": "rounding",
     "rounding_rejects_total": "rounding",
     "migrations_total": "migration",
     "bandit_rounds_total": "bandit_round",
     "bandit_arms_eliminated_total": "bandit_round",
+    "bandit_explore_steps": "bandit_round",
+    "bandit_exploit_steps": "bandit_round",
+    "cloud_served": "offline_run",
     "engine_arrivals_total": "slot_admission",
     "engine_starts_total": "slot_admission",
     "engine_drops_total": "slot_admission",
@@ -108,19 +100,6 @@ def counter_base(series: str) -> str:
     """The base metric name of a flat series id (labels stripped)."""
     brace = series.find("{")
     return series if brace < 0 else series[:brace]
-
-
-def series_id(name: str, labels: Mapping[str, Any]) -> str:
-    """Canonical flat series id, ``name{k="v",...}`` with sorted keys.
-
-    Matches :func:`repro.telemetry.metrics._series_name` so tracer
-    counters and registry counters share one namespace in the digest.
-    """
-    if not labels:
-        return name
-    body = ",".join(f'{key}="{value}"'
-                    for key, value in sorted(labels.items()))
-    return f"{name}{{{body}}}"
 
 
 @dataclass
@@ -171,8 +150,8 @@ class ProfileDigest:
 
     Attributes:
         spans: span path -> :class:`SpanProfile`.
-        counters: flat series id -> total (tracer counters and, when a
-            metrics registry rode the run, its counters too).
+        counters: flat series id -> total of the run's metrics
+            registry counters.
         top_level_s: wall time of top-level (parentless) spans.
         runs: how many runs were merged into this digest.
     """
@@ -283,8 +262,9 @@ def digest_from_events(events: Iterable[Mapping[str, Any]],
     :func:`repro.telemetry.summary.summarize_events`).  Span paths are
     the full ancestor chain joined with ``/``; a re-entrant span
     therefore lands on a *longer* path (``a/a``) instead of double
-    counting on ``a``.  Tracer counter events fold in under their flat
-    series id; ``registry_counters`` (a
+    counting on ``a``.  Counter events (the shape a traced record's
+    trace carries) fold in under their flat series id;
+    ``registry_counters`` (a
     :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot`
     ``counters`` map) merge into the same namespace.
     """

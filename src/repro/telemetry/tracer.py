@@ -1,6 +1,6 @@
-"""Process-local tracer: nested spans, counters, value records.
+"""Process-local tracer: nested spans and value records.
 
-A :class:`Tracer` collects three kinds of telemetry from an
+A :class:`Tracer` collects two kinds of telemetry from an
 instrumented run:
 
 * **spans** - nested, labelled wall-clock intervals opened with
@@ -8,11 +8,14 @@ instrumented run:
   their start order (``seq``), nesting ``depth``, and the ``seq`` of
   their parent, so an exporter can reconstruct the call tree and a
   summary can compute exclusive (self) time;
-* **counters** - monotonic event counts (``tracer.count("drops")``,
-  ``tracer.count("bnb_nodes", 17)``) keyed by name + labels;
 * **values** - deterministic numeric observations
   (``tracer.observe("threshold_mhz", 600.0)``) whose full sample list
   is retained for distribution summaries (mean/p95).
+
+Counts live in the metrics registry (:mod:`repro.telemetry.metrics`),
+not here: decisions are folded from their journal events, work
+counters are added through :func:`count_work` while a tracer records,
+and a traced sweep run carries its registry's counters in its trace.
 
 **Determinism convention.**  Everything a tracer records except span
 ``start_s`` / ``duration_s`` must be a deterministic function of the
@@ -31,14 +34,10 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
 
-#: Label set in canonical (sorted tuple) form.
-LabelKey = Tuple[Tuple[str, Any], ...]
-
-
-def _label_key(labels: Dict[str, Any]) -> LabelKey:
-    return tuple(sorted(labels.items()))
+from .metrics import LabelKey, get_metrics, label_key
 
 
 class _SpanContext:
@@ -106,9 +105,6 @@ class NullTracer:
         """Return the shared no-op span."""
         return _NULL_SPAN
 
-    def count(self, name: str, value: float = 1.0, **labels) -> None:
-        """Discard a counter increment."""
-
     def observe(self, name: str, value: float, **labels) -> None:
         """Discard a value observation."""
 
@@ -121,7 +117,7 @@ class NullTracer:
 
 
 class Tracer:
-    """Collects spans, counters, and value observations.
+    """Collects spans and value observations.
 
     Args:
         clock: monotonic time source (seconds); injectable for tests.
@@ -134,7 +130,6 @@ class Tracer:
         self._clock = clock
         self._spans: List[Dict[str, Any]] = []
         self._stack: List[int] = []
-        self._counters: Dict[Tuple[str, LabelKey], float] = {}
         self._values: Dict[Tuple[str, LabelKey], List[float]] = {}
 
     # ------------------------------------------------------------------
@@ -161,18 +156,13 @@ class Tracer:
         self._spans.append(record)
         return _SpanContext(self, record)
 
-    def count(self, name: str, value: float = 1.0, **labels) -> None:
-        """Add ``value`` to the monotonic counter ``name`` + labels."""
-        key = (name, _label_key(labels))
-        self._counters[key] = self._counters.get(key, 0.0) + float(value)
-
     def observe(self, name: str, value: float, **labels) -> None:
         """Append one numeric observation to ``name`` + labels.
 
         Observe only run-deterministic quantities (see the module
         docstring); wall-clock belongs in spans.
         """
-        self._values.setdefault((name, _label_key(labels)),
+        self._values.setdefault((name, label_key(labels)),
                                 []).append(float(value))
 
     # ------------------------------------------------------------------
@@ -183,26 +173,22 @@ class Tracer:
         """Currently un-exited spans (0 between instrumented calls)."""
         return len(self._stack)
 
-    def counter(self, name: str, **labels) -> float:
-        """Current value of one counter (0.0 when never incremented)."""
-        return self._counters.get((name, _label_key(labels)), 0.0)
-
     def observations(self, name: str, **labels) -> List[float]:
         """The recorded observations of one value series."""
-        return list(self._values.get((name, _label_key(labels)), []))
+        return list(self._values.get((name, label_key(labels)), []))
 
-    def events(self) -> List[Dict[str, Any]]:
+    def events(self, counters: Iterable[Dict[str, Any]] = ()
+               ) -> List[Dict[str, Any]]:
         """The trace as a flat, JSON-serializable event list.
 
-        Spans come first in start order, then counters, then value
-        series, both sorted by (name, labels) - a deterministic order
-        for a deterministic run.
+        Spans come first in start order, then ``counters`` (counter
+        events such as
+        :meth:`~repro.telemetry.metrics.MetricsRegistry.counter_events`),
+        then value series sorted by (name, labels) - a deterministic
+        order for a deterministic run.
         """
         out: List[Dict[str, Any]] = [dict(span) for span in self._spans]
-        for (name, labels) in sorted(self._counters):
-            out.append({"kind": "counter", "name": name,
-                        "labels": dict(labels),
-                        "value": self._counters[(name, labels)]})
+        out.extend(counters)
         for (name, labels) in sorted(self._values):
             out.append({"kind": "value", "name": name,
                         "labels": dict(labels),
@@ -213,12 +199,10 @@ class Tracer:
         """Drop everything recorded so far."""
         self._spans.clear()
         self._stack.clear()
-        self._counters.clear()
         self._values.clear()
 
     def __repr__(self) -> str:
         return (f"Tracer(spans={len(self._spans)}, "
-                f"counters={len(self._counters)}, "
                 f"values={len(self._values)})")
 
 
@@ -253,3 +237,16 @@ def use_tracer(tracer: Optional[Tracer]) -> Iterator[Any]:
         yield get_tracer()
     finally:
         set_tracer(previous)
+
+
+def count_work(name: str, value: float = 1.0) -> None:
+    """Add to a work counter of a traced run (``rounding_rounds``,
+    ``bnb_nodes``, ...).
+
+    Work counters explain where a traced run's time went.  Like every
+    counter they live in the current metrics registry, but they are
+    added only while a tracer records, so a live service's registry
+    carries its operator series alone.
+    """
+    if _current.enabled:
+        get_metrics().inc(name, value)

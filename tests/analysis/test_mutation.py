@@ -1,6 +1,6 @@
 """Whole-program mutation tests against the *real* tree.
 
-Following the EVT001/MET001 idiom: copy the shipped sources into a
+Following the EVT001 idiom: copy the shipped sources into a
 fixture tree, seed exactly one violation, and verify the
 interprocedural pass catches it - in strict mode and through a
 baseline frozen on the clean tree.  These are the acceptance tests

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.sim.results import RunRecord
-from repro.telemetry import (Tracer, canonical_events,
+from repro.telemetry import (MetricsRegistry, Tracer, canonical_events,
                              collect_sweep_trace, read_jsonl,
                              write_jsonl)
 
@@ -14,9 +14,10 @@ def sample_events():
     with tracer.span("outer", phase="x"):
         with tracer.span("inner"):
             pass
-    tracer.count("drops", 2)
     tracer.observe("threshold_mhz", 400.0)
-    return tracer.events()
+    registry = MetricsRegistry()
+    registry.inc("drops", 2)
+    return tracer.events(counters=registry.counter_events())
 
 
 class TestJsonlRoundTrip:

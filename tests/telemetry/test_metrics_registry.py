@@ -14,7 +14,8 @@ import math
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.telemetry.metrics import (EVENT_METRIC_MAP, NULL_REGISTRY,
+from repro.sim.events import Event, EventKind
+from repro.telemetry.metrics import (EVENT_COUNTERS, NULL_REGISTRY,
                                      MetricsRegistry, NullRegistry,
                                      StreamingHistogram, get_metrics,
                                      set_metrics, use_metrics)
@@ -310,16 +311,23 @@ class TestAmbientRegistry:
 
 class TestEventMetricMap:
     def test_every_entry_names_at_least_one_metric(self):
-        assert EVENT_METRIC_MAP
-        for kind, names in EVENT_METRIC_MAP.items():
+        assert EVENT_COUNTERS
+        for kind, series in EVENT_COUNTERS.items():
             assert isinstance(kind, str)
-            assert names, f"{kind} maps to no metric"
+            if series is None:
+                continue  # listed as deliberately not counted
+            name, labels = series
+            assert name.endswith("_total"), f"{kind} maps to {name}"
+            assert labels == tuple(sorted(labels))
 
     def test_map_values_are_finite_after_instrumented_run(self):
-        """Sanity: the mapped names are usable registry names."""
+        """One event of every kind folds into exactly its counter."""
         registry = MetricsRegistry()
-        for names in EVENT_METRIC_MAP.values():
-            for name in names:
-                registry.inc(name)
-        for value in registry.snapshot()["counters"].values():
-            assert math.isfinite(value)
+        for kind in EventKind:
+            registry.absorb(Event(slot=0, kind=kind))
+        counted = [series for series in EVENT_COUNTERS.values()
+                   if series is not None]
+        counters = registry.snapshot()["counters"]
+        assert len(counters) == len(counted)
+        for value in counters.values():
+            assert math.isfinite(value) and value == 1.0

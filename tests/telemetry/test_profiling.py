@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.telemetry import Tracer
+from repro.telemetry import MetricsRegistry, Tracer
 from repro.telemetry.profiling import (
     COUNTER_OWNERS, DIGEST_SCHEMA, PROFILE_SET_SCHEMA, ProfileDigest,
     SpanProfile, canonical_digest, capture_memory_top, capture_stats,
@@ -34,9 +34,10 @@ def traced_run():
         with tracer.span("lp_solve"):
             with tracer.span("lp_solve"):
                 pass
-            tracer.count("lp_solves_total", 1, mode="cold")
-        tracer.count("simplex_iterations_total", 12, phase="primal")
-    return tracer.events()
+    registry = MetricsRegistry()
+    registry.inc("lp_solves_total", 1, mode="cold")
+    registry.inc("simplex_iterations_total", 12, phase="primal")
+    return tracer.events(counters=registry.counter_events())
 
 
 class TestDigestFromEvents:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.telemetry import Tracer, render_summary, summarize_events
+from repro.telemetry import (MetricsRegistry, Tracer, render_summary,
+                             summarize_events)
 from repro.telemetry.export import collect_sweep_trace
 from repro.telemetry.summary import percentile_linear
 from repro.sim.results import RunRecord
@@ -27,10 +28,11 @@ def nested_trace():
     with tracer.span("outer"):
         with tracer.span("inner"):
             pass
-    tracer.count("drops", 4)
     tracer.observe("threshold_mhz", 500.0)
     tracer.observe("threshold_mhz", 700.0)
-    return tracer.events()
+    registry = MetricsRegistry()
+    registry.inc("drops", 4)
+    return tracer.events(counters=registry.counter_events())
 
 
 class TestSummarizeEvents:

@@ -1,9 +1,14 @@
-"""Unit tests for the tracer core: spans, counters, values, nulls."""
+"""Unit tests for the tracer core: spans, values, trace counters, nulls."""
 
 import pytest
 
-from repro.telemetry import (NULL_TRACER, NullTracer, Tracer, get_tracer,
-                             set_tracer, use_tracer)
+from repro.telemetry import (NULL_TRACER, MetricsRegistry, NullTracer,
+                             Tracer, get_tracer, set_tracer, use_tracer)
+
+
+def counter_values(events):
+    return {(e["name"], tuple(sorted(e["labels"].items()))): e["value"]
+            for e in events if e["kind"] == "counter"}
 
 
 class FakeClock:
@@ -64,25 +69,29 @@ class TestSpans:
     def test_clear(self):
         tracer = Tracer()
         with tracer.span("a"):
-            tracer.count("c")
             tracer.observe("v", 1.0)
         tracer.clear()
         assert tracer.events() == []
 
 
 class TestCountersAndValues:
+    """A trace's counters are its registry's, spliced in by events()."""
+
     def test_counter_accumulates(self):
-        tracer = Tracer()
-        tracer.count("drops")
-        tracer.count("drops", 3)
-        assert tracer.counter("drops") == 4.0
+        registry = MetricsRegistry()
+        registry.inc("drops")
+        registry.inc("drops", 3)
+        events = Tracer().events(counters=registry.counter_events())
+        assert counter_values(events) == {("drops", ()): 4.0}
 
     def test_counter_labels_are_separate_series(self):
-        tracer = Tracer()
-        tracer.count("nodes", 2, backend="bnb")
-        tracer.count("nodes", 5, backend="scipy")
-        assert tracer.counter("nodes", backend="bnb") == 2.0
-        assert tracer.counter("nodes", backend="scipy") == 5.0
+        registry = MetricsRegistry()
+        registry.inc("nodes", 2, backend="bnb")
+        registry.inc("nodes", 5, backend="scipy")
+        events = Tracer().events(counters=registry.counter_events())
+        assert counter_values(events) == {
+            ("nodes", (("backend", "bnb"),)): 2.0,
+            ("nodes", (("backend", "scipy"),)): 5.0}
 
     def test_observe_keeps_samples(self):
         tracer = Tracer()
@@ -93,16 +102,18 @@ class TestCountersAndValues:
     def test_events_are_deterministically_ordered(self):
         def build():
             tracer = Tracer(clock=FakeClock())
-            tracer.count("b")
-            tracer.count("a")
+            registry = MetricsRegistry()
+            registry.inc("b")
+            registry.inc("a")
             tracer.observe("z", 1.0)
             with tracer.span("s"):
                 pass
-            return tracer.events()
+            return tracer.events(counters=registry.counter_events())
 
         assert build() == build()
         kinds = [e["kind"] for e in build()]
         assert kinds == ["span", "counter", "counter", "value"]
+        assert [e["name"] for e in build()[1:3]] == ["a", "b"]
 
 
 class TestNullTracer:
@@ -115,8 +126,10 @@ class TestNullTracer:
         assert null.events() == []
 
     def test_count_observe_noops(self):
+        # Counts belong to the metrics registry; a tracer has none.
         null = NullTracer()
-        null.count("x", 5)
+        assert not hasattr(null, "count")
+        assert not hasattr(Tracer(), "count")
         null.observe("y", 1.0)
         assert null.events() == []
 
