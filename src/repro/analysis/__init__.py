@@ -40,13 +40,12 @@ from . import numerics as _numerics  # noqa: F401
 from . import pickles as _pickles  # noqa: F401
 from .baseline import (apply_baseline, load_baseline,
                        refreeze_baseline, save_baseline)
-from .cache import SummaryCache
 from .cli import main
 from .dataflow import ProjectContext, TaintAnalysis, build_context
 from .findings import Finding, sort_findings
 from .framework import (RULES, AnalysisReport, DataflowRule,
                         ModuleInfo, ProjectRule, Rule, analyze_source,
-                        cache_version, module_from_source, register,
+                        module_from_source, register,
                         run_analysis)
 
 __all__ = [
@@ -58,12 +57,10 @@ __all__ = [
     "ProjectRule",
     "RULES",
     "Rule",
-    "SummaryCache",
     "TaintAnalysis",
     "analyze_source",
     "apply_baseline",
     "build_context",
-    "cache_version",
     "load_baseline",
     "main",
     "module_from_source",

@@ -33,8 +33,7 @@ decision (arrivals, starts, drops, migrations, rounding admissions,
 bandit arm plays/eliminations, station outages) to a canonical JSONL
 journal, ``--audit`` replays each run's journal through the invariant
 monitor and prints the audit, and the ``trace-diff`` subcommand aligns
-two journals and localizes the first divergent event (exit 0/1/2 like
-bench-diff)::
+two journals and localizes the first divergent event::
 
     python -m repro.experiments --figures 3 --journal serial.jsonl
     python -m repro.experiments --figures 3 --workers 2 --journal par.jsonl
@@ -49,7 +48,7 @@ exports the digests as ``PROF_<name>.json``, ``--profile-out PATH``
 writes a collapsed-stack flamegraph (speedscope / flamegraph.pl), and
 ``--profile-mem`` captures top allocation sites.  The ``perf-diff``
 subcommand compares two digest-bearing artifacts and localizes the
-worst regressed span (exit 0/1/2 like bench-diff)::
+worst regressed span::
 
     python -m repro.experiments --figures 3 --profile --bench-out BENCH_new.json
     python -m repro.experiments perf-diff benchmarks/PROF_baseline.json BENCH_new.json
@@ -62,6 +61,11 @@ The streaming admission service (``python -m repro.service loadgen`` /
 manifests, so ``trace-diff`` doubles as its resume byte-identity gate
 and ``bench-diff`` as its throughput-regression check - see
 ``docs/SERVICE.md``.
+
+The three diff subcommands are front ends over one comparator core,
+:mod:`repro.telemetry.diff`: exit 0 = within tolerance, 1 =
+regression or divergence, 2 = unusable input (a missing, non-UTF-8
+or malformed file, or a negative tolerance).
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ from ..telemetry import (ProgressReporter, audit_records,
                          render_memory_top, render_summary,
                          write_folded, write_jsonl,
                          write_profile_set)
+from ..telemetry.diff import bench_diff, perf_diff, trace_diff
 from ..telemetry.ledger import append_ledger, write_bench
 from .executor import resolve_workers, workers_type
 from .export import export_figure
@@ -171,15 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "bench-diff":
-        from ..telemetry.regression import main as bench_diff_main
-        return bench_diff_main(argv[1:])
-    if argv and argv[0] == "trace-diff":
-        from ..telemetry.tracediff import main as trace_diff_main
-        return trace_diff_main(argv[1:])
-    if argv and argv[0] == "perf-diff":
-        from ..telemetry.perfdiff import main as perf_diff_main
-        return perf_diff_main(argv[1:])
+    for front_end in (bench_diff, perf_diff, trace_diff):
+        if argv and argv[0] == front_end.name:
+            return front_end.main(argv[1:])
     args = build_parser().parse_args(argv)
     wanted = list(_FIGURES) if "all" in args.figures else args.figures
     scale = paper_scale() if args.scale == "paper" else bench_scale()

@@ -39,7 +39,7 @@ from ..exceptions import ConfigurationError, SchedulingError
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
 from ..telemetry import get_tracer
-from ..telemetry.audit import emit, get_journal, listening
+from ..telemetry.audit import emit, listening
 from ..telemetry.metrics import get_metrics
 from .clock import SlotClock
 from .events import Event, EventKind
@@ -311,10 +311,8 @@ class OnlineEngine:
             The slot's :class:`SlotOutcome`.
         """
         tracer = get_tracer()
-        # Outage edges are emitted only into a journal, as they always
-        # were: a registry-only run does not count them.
-        if get_journal().enabled:
-            self._journal_outage_transitions(t)
+        if self._outages and listening():
+            self._emit_outage_transitions(t)
         with tracer.span("slot_admission", policy=policy.name):
             self._admit_arrivals(t, arrivals)
             dropped = self._drop_hopeless(t)
@@ -343,7 +341,7 @@ class OnlineEngine:
     # ------------------------------------------------------------------
     # Slot phases
     # ------------------------------------------------------------------
-    def _journal_outage_transitions(self, t: int) -> None:
+    def _emit_outage_transitions(self, t: int) -> None:
         """Announce injected outage edges (down at the window start,
         back up - with capacity - the slot after it ends)."""
         for sid in self.instance.network.station_ids:

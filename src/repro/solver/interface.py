@@ -10,29 +10,22 @@ Warm starts
 
 Sequences of near-identical solves (DynamicRR's per-round LP-PT, sweep
 replications) thread a :class:`WarmStartState` through
-:func:`solve_lp`.  It carries two things:
-
-* an **exact solution cache** keyed by model identity plus mutation
-  version (:attr:`~repro.solver.model.LinearProgram.version`): solving
-  the *same model object* that has not been mutated since the previous
-  solve returns the previous :class:`Solution` outright.  The state
-  holds a reference to the model, so the identity check cannot alias a
-  recycled object, and every structural edit bumps the version - the
-  cached result is exactly the result a cold solve would produce, at
-  zero hashing cost (for content-based fingerprints across distinct
-  objects, see
-  :meth:`~repro.solver.model.LinearProgram.content_key`);
-* the previous solve's **simplex basis** for the from-scratch backend:
-  a changed model starts phase 2 directly from the old optimal basis
-  when it is still primal feasible, skipping phase 1.  Basis-warmed
-  results agree with cold ones to solver tolerance (the tableau is
-  refactorized through a dense linear solve), so the default ``scipy``
-  backend never uses it: for HiGHS a *changed* model simply solves
-  cold, which keeps its solutions identical to ``linprog``'s.
+:func:`solve_lp`.  It is an **exact solution cache** keyed by model
+identity plus mutation version
+(:attr:`~repro.solver.model.LinearProgram.version`): solving the *same
+model object* that has not been mutated since the previous solve
+returns the previous :class:`Solution` outright.  The state holds a
+reference to the model, so the identity check cannot alias a recycled
+object, and every structural edit bumps the version - the cached
+result is exactly the result a cold solve would produce, at zero
+hashing cost (for content-based fingerprints across distinct objects,
+see :meth:`~repro.solver.model.LinearProgram.content_key`).  A
+*changed* model solves cold on either backend, which keeps HiGHS
+solutions identical to ``linprog``'s.
 
 The ``lp_solve`` telemetry span is annotated with
-``warm="cold" | "hit" | "miss" | "basis"`` so traces show exactly which
-path each solve took.
+``warm="cold" | "hit" | "miss"`` so traces show exactly which path
+each solve took.
 """
 
 from __future__ import annotations
@@ -40,7 +33,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from ..exceptions import SolverError
 from ..telemetry import get_tracer
@@ -48,7 +41,7 @@ from ..telemetry.metrics import get_metrics
 from .branch_and_bound import solve_with_branch_and_bound
 from .model import LinearProgram
 from .scipy_backend import solve_ilp_scipy, solve_lp_scipy
-from .simplex import solve_with_simplex, solve_with_simplex_state
+from .simplex import solve_with_simplex
 
 #: Default LP backend for large experiment instances.
 DEFAULT_LP_BACKEND = "scipy"
@@ -104,20 +97,16 @@ class WarmStartState:
     Attributes:
         hits: solves answered from the fingerprint cache.
         misses: solves that ran a backend.
-        basis_reuses: simplex solves that skipped phase 1 via the
-            carried basis.
         last_mode: what the most recent solve did
-            (``"hit"`` / ``"miss"`` / ``"basis"`` / ``"none"``).
+            (``"hit"`` / ``"miss"`` / ``"none"``).
     """
 
     _backend: Optional[str] = None
     _model: Optional[LinearProgram] = field(default=None, repr=False)
     _model_version: Optional[int] = None
     _solution: Optional[Solution] = None
-    _simplex_basis: Optional[List[int]] = field(default=None, repr=False)
     hits: int = 0
     misses: int = 0
-    basis_reuses: int = 0
     last_mode: str = "none"
 
     def lookup(self, backend: str,
@@ -129,15 +118,13 @@ class WarmStartState:
             return self._solution
         return None
 
-    def store(self, backend: str, lp: LinearProgram, solution: Solution,
-              simplex_basis: Optional[List[int]] = None) -> None:
+    def store(self, backend: str, lp: LinearProgram,
+              solution: Solution) -> None:
         """Record a solve's outcome for the next call."""
         self._backend = backend
         self._model = lp
         self._model_version = lp.version
         self._solution = solution
-        if backend == "simplex":
-            self._simplex_basis = simplex_basis
 
     def clear(self) -> None:
         """Drop all carried state (counters are kept)."""
@@ -145,7 +132,6 @@ class WarmStartState:
         self._model = None
         self._model_version = None
         self._solution = None
-        self._simplex_basis = None
         self.last_mode = "none"
 
 
@@ -179,16 +165,10 @@ def solve_lp(lp: LinearProgram,
                 elapsed = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
                 return replace(cached, solve_time_s=elapsed)
             mode = "miss"
-        basis: Optional[List[int]] = None
         if backend == "scipy":
             objective, values = solve_lp_scipy(lp)
         else:
-            carried = (warm_start._simplex_basis
-                       if warm_start is not None else None)
-            objective, values, basis, warm_used = \
-                solve_with_simplex_state(lp, warm_basis=carried)
-            if warm_used:
-                mode = "basis"
+            objective, values = solve_with_simplex(lp)
         span.annotate(warm=mode)
         get_metrics().inc("lp_solves_total", mode=mode)
     elapsed = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
@@ -197,10 +177,8 @@ def solve_lp(lp: LinearProgram,
                         solve_time_s=elapsed)
     if warm_start is not None:
         warm_start.misses += 1
-        if mode == "basis":
-            warm_start.basis_reuses += 1
         warm_start.last_mode = mode
-        warm_start.store(backend, lp, solution, simplex_basis=basis)
+        warm_start.store(backend, lp, solution)
     return solution
 
 

@@ -24,33 +24,42 @@ Beyond in-process tracing, the subsystem persists observability
 *across* runs: :mod:`~repro.telemetry.ledger` condenses a sweep into a
 :class:`RunManifest` (config hash, git rev, seeds, peak RSS, per-phase
 wall-clock, headline metrics per algorithm) appended to a JSONL ledger
-or exported as ``BENCH_<name>.json``; :mod:`~repro.telemetry.regression`
-diffs two ledgers with tolerance gates (``python -m repro.experiments
-bench-diff OLD NEW``); and :mod:`~repro.telemetry.progress` provides
-the live stderr heartbeat behind the CLIs' ``--progress`` flag.
+or exported as ``BENCH_<name>.json``; the ``bench-diff`` front end of
+:mod:`~repro.telemetry.diff` diffs two ledgers with tolerance gates
+(``python -m repro.experiments bench-diff OLD NEW``); and
+:mod:`~repro.telemetry.progress` provides the live stderr heartbeat
+behind the CLIs' ``--progress`` flag.
 
 :mod:`~repro.telemetry.audit` adds the *decision* audit trail: a
 canonical :class:`Journal` of every scheduling decision (lifecycle,
 migrations, rounding admissions/rejections, bandit arm plays and
 eliminations, station outages), an online :class:`InvariantMonitor`
 checking the paper's invariants over that stream in ``strict`` or
-``collect`` mode, and - via :mod:`~repro.telemetry.tracediff` - the
-``trace-diff`` CLI that localizes the first divergent event between
-two journals (``python -m repro.experiments trace-diff A B``).
+``collect`` mode, and the ``trace-diff`` front end of
+:mod:`~repro.telemetry.diff` that localizes the first divergent event
+between two journals (``python -m repro.experiments trace-diff A B``).
 
 :mod:`~repro.telemetry.profiling` is the performance-attribution
 layer: a canonical :class:`ProfileDigest` per run (span-tree self/cum
 time + call counts + domain counters joined onto their owning spans),
 opt-in ``cProfile``/``tracemalloc`` deep capture with collapsed-stack
-flamegraph export, and - via :mod:`~repro.telemetry.perfdiff` - the
-``perf-diff`` CLI that localizes the worst regressed span between two
-digests (``python -m repro.experiments perf-diff OLD NEW``).
+flamegraph export, and the ``perf-diff`` front end of
+:mod:`~repro.telemetry.diff` that localizes the worst regressed span
+between two digests (``python -m repro.experiments perf-diff OLD NEW``).
+
+All three diff CLIs share one core in :mod:`~repro.telemetry.diff`:
+exit codes 0/1/2, the deterministic-gates-both-ways /
+timing-is-advisory rule, and the runner that turns unusable input into
+exit 2.
 """
 
 from .audit import (INVARIANTS, NULL_JOURNAL, AuditOutcome,
                     InvariantMonitor, Journal, NullJournal, Violation,
                     audit_records, collect_sweep_journal, get_journal,
                     set_journal, use_journal)
+from .diff import (DEFAULT_METRIC_TOL, DEFAULT_WALL_TOL, Delta,
+                   DiffReport, diff_ledgers, diff_manifests,
+                   diff_profile_sets)
 from .export import (WALL_CLOCK_FIELDS, canonical_events,
                      collect_sweep_trace, read_jsonl, write_jsonl)
 from .ledger import (MANIFEST_SCHEMA, WALL_CLOCK_METRICS, RunManifest,
@@ -61,7 +70,6 @@ from .ledger import (MANIFEST_SCHEMA, WALL_CLOCK_METRICS, RunManifest,
 from .metrics import (NULL_REGISTRY, MetricsRegistry,
                       NullRegistry, StreamingHistogram, get_metrics,
                       set_metrics, use_metrics)
-from .perfdiff import diff_profile_sets
 from .profiling import (COUNTER_OWNERS, DIGEST_SCHEMA,
                         PROFILE_SET_SCHEMA, ProfileDigest, SpanProfile,
                         canonical_digest, collect_sweep_profiles,
@@ -71,8 +79,6 @@ from .profiling import (COUNTER_OWNERS, DIGEST_SCHEMA,
                         render_digest, render_memory_top,
                         write_folded, write_profile_set)
 from .progress import ProgressReporter
-from .regression import (DEFAULT_METRIC_TOL, DEFAULT_WALL_TOL, Delta,
-                         DiffReport, diff_ledgers, diff_manifests)
 from .summary import (SpanStats, TraceSummary, render_summary,
                       summarize_events)
 from .tracer import (NULL_TRACER, NullTracer, Tracer, count_work,

@@ -54,13 +54,18 @@ def write_jsonl(path: Union[str, Path],
 
 
 def read_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Read a JSONL trace back into an event list.
+    """Read a JSON Lines file - one object per line - into a list.
+
+    Blank lines are skipped.  This is the one line-by-line JSON reader
+    of the telemetry package: traces, journals and run ledgers all go
+    through it.
 
     Raises:
         ConfigurationError: on a line that is not a JSON object.
+        UnicodeDecodeError: on bytes that are not UTF-8.
     """
     events: List[Dict[str, Any]] = []
-    with Path(path).open() as handle:
+    with Path(path).open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -72,10 +77,31 @@ def read_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
                     f"{path}:{lineno}: not valid JSON: {error}") from error
             if not isinstance(event, dict):
                 raise ConfigurationError(
-                    f"{path}:{lineno}: trace events must be objects, "
-                    f"got {type(event).__name__}")
+                    f"{path}:{lineno}: expected a JSON object, got "
+                    f"{type(event).__name__}")
             events.append(event)
     return events
+
+
+def read_json_records(path: Union[str, Path]) -> List[Dict[str, Any]]:
+    """A whole-file JSON object as one record, or else JSON Lines.
+
+    Snapshots (``BENCH_*.json``, ``PROF_*.json``) are one
+    pretty-printed object; ledgers are one object per line.  Either
+    way the result is a list of objects.
+
+    Raises:
+        ConfigurationError: when the file is neither format.
+    """
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError:
+        return read_jsonl(path)
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"{path}: expected a JSON object or JSON Lines, got "
+            f"{type(data).__name__}")
+    return [data]
 
 
 def collect_sweep_trace(records: Sequence[Any]) -> List[Dict[str, Any]]:

@@ -15,8 +15,8 @@ The split between *deterministic* and *wall-clock* content mirrors
 pure function of config + seeds and must match across machines up to
 numeric tolerance, while ``phases``, ``peak_rss_kb``, ``created_at``,
 and the environment fields legitimately vary.
-:mod:`repro.telemetry.regression` encodes that split when diffing two
-ledgers.
+:mod:`repro.telemetry.diff` (``bench-diff``) encodes that split when
+diffing two ledgers.
 """
 
 from __future__ import annotations
@@ -33,14 +33,16 @@ from typing import (Any, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from ..exceptions import ConfigurationError
+from .export import read_json_records, read_jsonl
 
 #: Manifest schema identifier written into every exported file.
 MANIFEST_SCHEMA = "repro.run-manifest/1"
 
 #: Metric names measured from the executing machine's clock; compared
-#: advisory-only by :mod:`repro.telemetry.regression`.  The service
-#: loadgen's throughput/latency metrics are wall-clock by nature; its
-#: deterministic counts (arrivals, sheds, rewards) gate normally.
+#: advisory-only by ``bench-diff`` (:mod:`repro.telemetry.diff`).  The
+#: service loadgen's throughput/latency metrics are wall-clock by
+#: nature; its deterministic counts (arrivals, sheds, rewards) gate
+#: normally.
 WALL_CLOCK_METRICS = ("runtime_s", "requests_per_s", "p50_slot_ms",
                       "p95_slot_ms", "p99_slot_ms")
 
@@ -323,24 +325,7 @@ def read_ledger(path: Union[str, Path]) -> List[RunManifest]:
     Raises:
         ConfigurationError: on unparsable lines or malformed entries.
     """
-    manifests: List[RunManifest] = []
-    with Path(path).open() as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: not valid JSON: {error}"
-                ) from error
-            if not isinstance(data, dict):
-                raise ConfigurationError(
-                    f"{path}:{lineno}: ledger entries must be objects, "
-                    f"got {type(data).__name__}")
-            manifests.append(RunManifest.from_dict(data))
-    return manifests
+    return [RunManifest.from_dict(data) for data in read_jsonl(path)]
 
 
 def write_bench(path: Union[str, Path],
@@ -363,16 +348,8 @@ def load_manifests(path: Union[str, Path]) -> List[RunManifest]:
     Raises:
         ConfigurationError: when the file is neither format.
     """
-    text = Path(path).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        return read_ledger(path)
-    if isinstance(data, dict):
-        return [RunManifest.from_dict(data)]
-    raise ConfigurationError(
-        f"{path}: expected a manifest object or a JSONL ledger, got "
-        f"{type(data).__name__}")
+    return [RunManifest.from_dict(data)
+            for data in read_json_records(path)]
 
 
 def latest_by_name(manifests: Sequence[RunManifest]

@@ -10,8 +10,8 @@ module closes that gap with three layers:
   many merged) runs: per **span path** (``offline_run/build_lp/
   lp_solve``) the call count, cumulative wall time, exclusive self
   time, and min/max per call, plus every domain counter
-  (``simplex_iterations_total{phase="warm"}``,
-  ``lp_solves_total{mode="basis"}``, ``bnb_nodes``, ...) joined onto
+  (``simplex_iterations_total{phase="cold"}``,
+  ``lp_solves_total{mode="hit"}``, ``bnb_nodes``, ...) joined onto
   its owning span via :data:`COUNTER_OWNERS`.  Digests merge
   associatively (per algorithm, across ProcessPool workers), serialize
   to JSON, and split cleanly into a *deterministic* part (calls,
@@ -32,8 +32,8 @@ module closes that gap with three layers:
   and :func:`folded_from_digest` does the same exactly (no
   approximation) for the instrumented span tree.
 
-``python -m repro.experiments perf-diff`` (see
-:mod:`repro.telemetry.perfdiff`) compares two digests and localizes
+``python -m repro.experiments perf-diff`` (the ``perf-diff`` front end
+of :mod:`repro.telemetry.diff`) compares two digests and localizes
 the worst regressed span; the experiments/report/service CLIs grow
 ``--profile`` / ``--profile-mem`` / ``--profile-out`` flags that
 produce these artifacts.  Profiling is zero-overhead-by-default and
@@ -50,6 +50,7 @@ from typing import (Any, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from ..exceptions import ConfigurationError
+from .export import read_json_records
 from .metrics import series_id
 from .summary import RUN_KEY_FIELDS
 
@@ -436,26 +437,21 @@ def load_profile_set(path: Union[str, Path]) -> Dict[str, ProfileDigest]:
     Raises:
         ConfigurationError: when the file carries no digests.
     """
-    from .ledger import latest_by_name, load_manifests
+    from .ledger import RunManifest, latest_by_name
 
-    text = Path(path).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        data = None
+    records = read_json_records(path)
+    data = records[0] if len(records) == 1 else {}
     out: Dict[str, ProfileDigest] = {}
-    if isinstance(data, dict) and (
-            data.get("schema") == PROFILE_SET_SCHEMA
-            or "digests" in data):
+    if data.get("schema") == PROFILE_SET_SCHEMA or "digests" in data:
         out = {str(name): ProfileDigest.from_dict(digest)
                for name, digest in data.get("digests", {}).items()}
-    elif isinstance(data, dict) and (
-            data.get("schema") == DIGEST_SCHEMA or "spans" in data):
+    elif data.get("schema") == DIGEST_SCHEMA or "spans" in data:
         out = {"profile": ProfileDigest.from_dict(data)}
     else:
-        manifests = latest_by_name(load_manifests(path))
+        manifests = latest_by_name(
+            [RunManifest.from_dict(record) for record in records])
         for name in sorted(manifests):
-            profiles = getattr(manifests[name], "profiles", {}) or {}
+            profiles = manifests[name].profiles or {}
             for algo in sorted(profiles):
                 key = algo if len(manifests) == 1 \
                     else f"{name}.{algo}"

@@ -19,7 +19,8 @@ from repro.service import (AdmissionService, ServiceCheckpoint,
                            read_checkpoint, truncate_journal,
                            write_checkpoint)
 from repro.service.checkpoint import JournalCursor
-from repro.telemetry.tracediff import first_divergence, load_journal
+from repro.telemetry.diff import first_divergence
+from repro.telemetry.export import read_jsonl as load_journal
 
 
 def run_to_drain(service):

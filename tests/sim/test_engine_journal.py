@@ -17,6 +17,7 @@ from repro.sim.online_engine import OnlineEngine, Placement
 from repro.telemetry.audit import (InvariantMonitor, Journal,
                                    NULL_JOURNAL, get_journal,
                                    use_journal)
+from repro.telemetry.metrics import MetricsRegistry, use_metrics
 
 
 class PinToStationPolicy:
@@ -142,6 +143,25 @@ class TestOnlineJournal:
         assert ups[0]["slot"] == 11 and ups[0]["station"] == 0
         capacity = small_instance.network.station(0).capacity_mhz
         assert ups[0]["value"] == capacity
+
+    def test_outage_transitions_counted_without_a_journal(
+            self, small_instance, online_workload):
+        # The outage edges reach a registry whether or not a journal
+        # is attached: 8 initial announcements + 1 recovery up, 1 down.
+        def transitions(journal):
+            registry = MetricsRegistry()
+            with use_metrics(registry), use_journal(journal):
+                engine = OnlineEngine(small_instance, online_workload,
+                                      horizon_slots=40, rng=0,
+                                      outages={0: (5, 10)})
+                engine.run(DynamicRR(rng=0))
+            return {direction: registry.counter(
+                        "station_transitions_total", direction=direction)
+                    for direction in ("up", "down")}
+
+        assert len(small_instance.network.station_ids) == 8
+        assert transitions(NULL_JOURNAL) == {"up": 9, "down": 1}
+        assert transitions(Journal()) == {"up": 9, "down": 1}
 
     def test_drop_carries_last_hosting_station(self, small_instance,
                                                online_workload):

@@ -9,9 +9,9 @@ second phase could pivot on a zero row.
 
 import pytest
 
+from repro.solver.interface import WarmStartState, solve_lp
 from repro.solver.model import LinearProgram
-from repro.solver.simplex import solve_with_simplex, \
-    solve_with_simplex_state
+from repro.solver.simplex import solve_with_simplex
 
 
 def redundant_lp() -> LinearProgram:
@@ -71,9 +71,8 @@ class TestRedundantRows:
     def test_state_solver_matches_plain(self):
         lp = redundant_lp()
         obj_plain, values_plain = solve_with_simplex(lp)
-        obj_state, values_state, basis, warm_used = \
-            solve_with_simplex_state(lp)
-        assert not warm_used
-        assert obj_state == obj_plain
-        assert values_state == values_plain
-        assert basis is not None and len(basis) > 0
+        state = WarmStartState()
+        solution = solve_lp(lp, backend="simplex", warm_start=state)
+        assert state.last_mode == "miss"
+        assert solution.objective == obj_plain
+        assert solution.values == values_plain

@@ -6,10 +6,10 @@ import json
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.telemetry.perfdiff import (EXIT_ERROR, EXIT_OK,
-                                      EXIT_REGRESSED, PerfDelta,
-                                      diff_digests, diff_profile_sets,
-                                      main, worst_regression)
+from repro.telemetry.diff import (EXIT_ERROR, EXIT_OK, EXIT_REGRESSED,
+                                  PerfDelta, diff_digests,
+                                  diff_profile_sets, perf_diff as main,
+                                  worst_regression)
 from repro.telemetry.profiling import (ProfileDigest, SpanProfile,
                                        write_profile_set)
 

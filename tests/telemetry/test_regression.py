@@ -7,7 +7,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.telemetry import (Delta, RunManifest, append_ledger,
                              diff_ledgers, diff_manifests, write_bench)
-from repro.telemetry import regression
+from repro.telemetry.diff import bench_diff as regression
 
 
 def make_manifest(name="bench", reward=100.0, runtime=0.5,

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from repro.telemetry.tracediff import (EXIT_DIVERGED, EXIT_ERROR,
-                                       EXIT_OK, diff_journals,
-                                       first_divergence, load_journal,
-                                       main, render_divergence)
+from repro.exceptions import ConfigurationError
+from repro.telemetry.diff import (EXIT_ERROR, EXIT_OK,
+                                  EXIT_REGRESSED as EXIT_DIVERGED,
+                                  diff_journals, first_divergence,
+                                  render_divergence, trace_diff as main)
+from repro.telemetry.export import read_jsonl as load_journal
 
 
 def stream(n, start=0):
@@ -101,13 +103,14 @@ class TestLoadJournal:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "drop"}\nnot json\n',
                         encoding="utf-8")
-        with pytest.raises(ValueError, match="bad.jsonl:2"):
+        with pytest.raises(ConfigurationError, match="bad.jsonl:2"):
             load_journal(str(path))
 
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("[1, 2, 3]\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="expected a JSON object"):
+        with pytest.raises(ConfigurationError,
+                           match="expected a JSON object"):
             load_journal(str(path))
 
 
